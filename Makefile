@@ -28,7 +28,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatcher|BenchmarkMatcherColdGraphs' -benchtime=1x ./internal/match/
 	$(GO) test -run '^$$' -bench 'BenchmarkGradeAll' -benchtime=1x ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkInterpCompiled|BenchmarkInterpTreeWalk' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkInterpCompiled' -benchtime=1x .
 
 # Regenerate Table I (sampled; raise -n for tighter D estimates).
 table:
@@ -93,9 +93,12 @@ javalint-smoke:
 bench-server:
 	$(GO) run ./cmd/loadgen -clients 8 -subs 64 -rounds 3 -scaling 1,2,4 -out BENCH_server.json > /dev/null
 
+# Fuzzers: the parser front half, plus the two differential fuzzers that
+# hold the compiled interpreter to the test-only tree-walking oracle.
 fuzz:
 	$(GO) test ./internal/java/parser -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/interp -fuzz FuzzRun -fuzztime 30s
+	$(GO) test ./internal/interp -fuzz FuzzFoldConst -fuzztime 30s
 
 fmt:
 	gofmt -w .

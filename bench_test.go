@@ -97,26 +97,6 @@ func BenchmarkInterpCompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpTreeWalk is the same work on the tree-walking reference
-// engine; the ratio against BenchmarkInterpCompiled is the headline speedup.
-func BenchmarkInterpTreeWalk(b *testing.B) {
-	for _, id := range interpHeavy {
-		a := assignments.Get(id)
-		b.Run(id, func(b *testing.B) {
-			unit, err := parser.Parse(a.Reference())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !a.Tests.RunTreeWalk(unit).Pass {
-					b.Fatal("reference failed its own tests")
-				}
-			}
-		})
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Section VI-C (E5): matching cost versus input magnitude. Our feedback time
 // is independent of the tested input; the CLARA-style baseline's trace

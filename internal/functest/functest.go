@@ -72,32 +72,14 @@ func (s *Suite) Run(unit *ast.CompilationUnit) Verdict {
 	return s.RunProgram(interp.Compile(unit))
 }
 
-// RunProgram executes the suite against a compiled submission. This is the
-// hot path of batch grading: the per-case cost is pure execution, with no
-// tree walking or recompilation.
+// RunProgram executes the suite against a compiled submission and folds the
+// case results into a Verdict. This is the hot path of batch grading: the
+// per-case cost is pure execution, with no parsing or recompilation.
 func (s *Suite) RunProgram(prog *interp.Program) Verdict {
-	return s.runCases(func(args []interp.Value, cfg interp.Config) (*interp.Result, error) {
-		return prog.Run(s.Entry, args, cfg)
-	})
-}
-
-// RunTreeWalk executes the suite on the tree-walking reference engine. It
-// exists for A/B comparison against the compiled default (the -interp-engine
-// flag) and as the slow side of differential testing; grading should use Run
-// or RunProgram.
-func (s *Suite) RunTreeWalk(unit *ast.CompilationUnit) Verdict {
-	return s.runCases(func(args []interp.Value, cfg interp.Config) (*interp.Result, error) {
-		return interp.RunTreeWalk(unit, s.Entry, args, cfg)
-	})
-}
-
-// runCases drives every case through the given executor and folds the
-// results into a Verdict; the comparison logic is engine-independent.
-func (s *Suite) runCases(run func([]interp.Value, interp.Config) (*interp.Result, error)) Verdict {
 	v := Verdict{Pass: true}
 	for _, c := range s.Cases {
 		cfg := interp.Config{Stdin: c.Stdin, Files: c.Files, MaxSteps: s.MaxSteps}
-		res, err := run(cloneArgs(c.Args), cfg)
+		res, err := prog.Run(s.Entry, cloneArgs(c.Args), cfg)
 		v.Cases++
 		if res != nil {
 			v.Steps += res.Steps

@@ -5,152 +5,15 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"semfeed/internal/java/ast"
 )
 
 // The Java built-in surface (Math/Integer/Double/String/Character/Arrays
 // statics, Scanner and String instance methods, field constants, object
 // construction) is implemented as pure value-level functions taking the
 // method name, the evaluated arguments and the call's source line. The
-// tree-walk machine and the compiled engine both dispatch into these
-// helpers, so their semantics and error strings agree by construction.
-
-// evalCall dispatches method invocations: System.out printing, Math,
-// Integer/Long/Double/Character/String statics, Scanner and String instance
-// methods, and user-defined methods.
-func (m *machine) evalCall(x *ast.Call, f *frame) (Value, error) {
-	// System.out.print family.
-	if fa, ok := x.Recv.(*ast.FieldAccess); ok {
-		if root, ok2 := fa.X.(*ast.Ident); ok2 && root.Name == "System" && (fa.Name == "out" || fa.Name == "err") {
-			return m.evalPrint(x, f)
-		}
-	}
-	if recv, ok := x.Recv.(*ast.Ident); ok {
-		switch recv.Name {
-		case "Math":
-			args, err := m.evalArgs(x.Args, f)
-			if err != nil {
-				return nil, err
-			}
-			return mathCall(x.Name, args, x.P.Line)
-		case "Integer", "Long":
-			args, err := m.evalArgs(x.Args, f)
-			if err != nil {
-				return nil, err
-			}
-			return integerStaticCall(x.Name, args, x.P.Line)
-		case "Double":
-			args, err := m.evalArgs(x.Args, f)
-			if err != nil {
-				return nil, err
-			}
-			return doubleStaticCall(x.Name, args, x.P.Line)
-		case "String":
-			args, err := m.evalArgs(x.Args, f)
-			if err != nil {
-				return nil, err
-			}
-			return stringStaticCall(x.Name, args, x.P.Line)
-		case "Character":
-			args, err := m.evalArgs(x.Args, f)
-			if err != nil {
-				return nil, err
-			}
-			return characterStaticCall(x.Name, args, x.P.Line)
-		case "Arrays":
-			args, err := m.evalArgs(x.Args, f)
-			if err != nil {
-				return nil, err
-			}
-			return arraysStaticCall(x.Name, args, x.P.Line)
-		case "System":
-			if x.Name == "exit" {
-				return nil, errAt(x.P.Line, "System.exit called")
-			}
-		}
-	}
-	if x.Recv == nil {
-		meth, ok := m.methods[x.Name]
-		if !ok {
-			return nil, errAt(x.P.Line, "cannot resolve method %s", x.Name)
-		}
-		args, err := m.evalArgs(x.Args, f)
-		if err != nil {
-			return nil, err
-		}
-		return m.invoke(meth, args, f.depth+1)
-	}
-	// Instance method: evaluate the receiver.
-	recv, err := m.eval(x.Recv, f)
-	if err != nil {
-		return nil, err
-	}
-	switch r := recv.(type) {
-	case *Scanner:
-		return scannerCall(r, x.Name, x.P.Line)
-	case string:
-		args, err := m.evalArgs(x.Args, f)
-		if err != nil {
-			return nil, err
-		}
-		return stringCall(r, x.Name, args, x.P.Line)
-	case *Array:
-		return nil, errAt(x.P.Line, "arrays have no method %s", x.Name)
-	case nil:
-		return nil, errAt(x.P.Line, "NullPointerException: calling %s on null", x.Name)
-	}
-	return nil, errAt(x.P.Line, "cannot call %s on %s", x.Name, valueType(recv))
-}
-
-func (m *machine) evalArgs(exprs []ast.Expr, f *frame) ([]Value, error) {
-	args := make([]Value, len(exprs))
-	for i, a := range exprs {
-		v, err := m.eval(a, f)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	return args, nil
-}
-
-func (m *machine) evalPrint(x *ast.Call, f *frame) (Value, error) {
-	switch x.Name {
-	case "print", "println":
-		var text string
-		if len(x.Args) > 1 {
-			return nil, errAt(x.P.Line, "%s takes at most one argument", x.Name)
-		}
-		if len(x.Args) == 1 {
-			v, err := m.eval(x.Args[0], f)
-			if err != nil {
-				return nil, err
-			}
-			text = Format(v)
-		}
-		m.out.WriteString(text)
-		if x.Name == "println" {
-			m.out.WriteByte('\n')
-		}
-		return nil, nil
-	case "printf", "format":
-		if len(x.Args) == 0 {
-			return nil, errAt(x.P.Line, "printf needs a format string")
-		}
-		args, err := m.evalArgs(x.Args, f)
-		if err != nil {
-			return nil, err
-		}
-		s, err := printfText(args, x.P.Line)
-		if err != nil {
-			return nil, err
-		}
-		m.out.WriteString(s)
-		return nil, nil
-	}
-	return nil, errAt(x.P.Line, "System.out has no method %s", x.Name)
-}
+// compiled engine dispatches into these helpers, and so does the
+// tree-walking test oracle (treewalk_test.go), so the two agree on
+// semantics and error strings by construction.
 
 // printfText renders a printf/format call from its evaluated arguments
 // (args[0] is the format string), shared by both engines.
@@ -684,21 +547,6 @@ func stringCall(s string, name string, args []Value, line int) (Value, error) {
 	return nil, errAt(line, "unsupported String.%s", name)
 }
 
-// evalField handles array .length, Integer/Double constants, Math constants
-// and System.in (as a marker consumed by new Scanner(...)).
-func (m *machine) evalField(x *ast.FieldAccess, f *frame) (Value, error) {
-	if root, ok := x.X.(*ast.Ident); ok {
-		if _, isVar := f.lookup(root.Name); !isVar {
-			return staticFieldValue(root.Name, x.Name, x.P.Line)
-		}
-	}
-	v, err := m.eval(x.X, f)
-	if err != nil {
-		return nil, err
-	}
-	return fieldOn(v, x.Name, x.P.Line)
-}
-
 // staticFieldValue resolves Class.FIELD constants: Integer/Long/Double
 // MIN/MAX, Math.PI/E and System.in (a fresh marker FileRef per access, so
 // reference identity matches the tree-walk evaluator).
@@ -786,48 +634,4 @@ func fileFromValue(v Value, line int) (Value, error) {
 		return nil, errAt(line, "new File on %s", valueType(v))
 	}
 	return &FileRef{Name: name}, nil
-}
-
-func (m *machine) evalNewObject(x *ast.NewObject, f *frame) (Value, error) {
-	switch x.Class {
-	case "Scanner", "java.util.Scanner":
-		if len(x.Args) != 1 {
-			return nil, errAt(x.P.Line, "new Scanner expects 1 argument")
-		}
-		v, err := m.eval(x.Args[0], f)
-		if err != nil {
-			return nil, err
-		}
-		return scannerFromValue(v, x.P.Line, m.cfg.Stdin, m.cfg.Files)
-	case "File", "java.io.File":
-		if len(x.Args) != 1 {
-			return nil, errAt(x.P.Line, "new File expects 1 argument")
-		}
-		v, err := m.eval(x.Args[0], f)
-		if err != nil {
-			return nil, err
-		}
-		return fileFromValue(v, x.P.Line)
-	case "String":
-		if len(x.Args) == 0 {
-			return "", nil
-		}
-		v, err := m.eval(x.Args[0], f)
-		if err != nil {
-			return nil, err
-		}
-		return Format(v), nil
-	case "StringBuilder", "StringBuffer":
-		// Modeled as immutable strings; append returns a new value, which is
-		// enough for the expression shapes in the corpus.
-		if len(x.Args) == 1 {
-			v, err := m.eval(x.Args[0], f)
-			if err != nil {
-				return nil, err
-			}
-			return Format(v), nil
-		}
-		return "", nil
-	}
-	return nil, errAt(x.P.Line, "cannot instantiate %s", x.Class)
 }

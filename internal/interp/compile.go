@@ -666,7 +666,7 @@ func Compile(unit *ast.CompilationUnit) *Program {
 	// empty local scope (globals only); the undefined sentinel makes forward
 	// references to later fields fail exactly like the incrementally-built
 	// globals map. Initializer expressions go through the generic expression
-	// path and skip declaration coercion, as RunTreeWalk does.
+	// path and skip declaration coercion, as the tree-walking oracle does.
 	for _, cls := range unit.Classes {
 		for _, fld := range cls.Fields {
 			for _, d := range fld.Decl.Decls {

@@ -8,89 +8,6 @@ import (
 	"semfeed/internal/java/token"
 )
 
-func (m *machine) eval(e ast.Expr, f *frame) (Value, error) {
-	if err := m.step(e.Pos().Line); err != nil {
-		return nil, err
-	}
-	switch x := e.(type) {
-	case *ast.Literal:
-		return evalLiteral(x)
-
-	case *ast.Ident:
-		if v, ok := f.lookup(x.Name); ok {
-			return v, nil
-		}
-		return nil, errAt(x.P.Line, "cannot resolve variable %s", x.Name)
-
-	case *ast.Paren:
-		return m.eval(x.X, f)
-
-	case *ast.Binary:
-		return m.evalBinary(x, f)
-
-	case *ast.Unary:
-		return m.evalUnary(x, f)
-
-	case *ast.Assign:
-		return m.evalAssign(x, f)
-
-	case *ast.Ternary:
-		c, err := m.evalBool(x.Cond, f)
-		if err != nil {
-			return nil, err
-		}
-		if c {
-			return m.eval(x.Then, f)
-		}
-		return m.eval(x.Else, f)
-
-	case *ast.Call:
-		return m.evalCall(x, f)
-
-	case *ast.FieldAccess:
-		return m.evalField(x, f)
-
-	case *ast.Index:
-		arrv, err := m.eval(x.X, f)
-		if err != nil {
-			return nil, err
-		}
-		arr, ok := arrv.(*Array)
-		if !ok || arr == nil {
-			return nil, errAt(x.P.Line, "array access on %s", valueType(arrv))
-		}
-		idx, err := m.evalIndex(x.Idx, len(arr.Elems), f)
-		if err != nil {
-			return nil, err
-		}
-		return arr.Elems[idx], nil
-
-	case *ast.NewArray:
-		return m.evalNewArray(x, f)
-
-	case *ast.ArrayLit:
-		return m.evalArrayLit(x, "int", f)
-
-	case *ast.NewObject:
-		return m.evalNewObject(x, f)
-
-	case *ast.Cast:
-		v, err := m.eval(x.X, f)
-		if err != nil {
-			return nil, err
-		}
-		return castValue(v, x.To, x.P.Line)
-
-	case *ast.InstanceOf:
-		v, err := m.eval(x.X, f)
-		if err != nil {
-			return nil, err
-		}
-		return v != nil, nil
-	}
-	return nil, errAt(e.Pos().Line, "unsupported expression %T", e)
-}
-
 func evalLiteral(x *ast.Literal) (Value, error) {
 	switch x.Kind {
 	case token.INT, token.LONG:
@@ -127,14 +44,6 @@ func evalLiteral(x *ast.Literal) (Value, error) {
 	return nil, errAt(x.P.Line, "bad literal kind %s", x.Kind)
 }
 
-func (m *machine) evalIndex(e ast.Expr, length int, f *frame) (int, error) {
-	v, err := m.eval(e, f)
-	if err != nil {
-		return 0, err
-	}
-	return checkIndex(v, length, e.Pos().Line)
-}
-
 // checkIndex validates an array subscript value against the array length,
 // shared by the tree-walk and compiled engines.
 func checkIndex(v Value, length int, line int) (int, error) {
@@ -146,33 +55,6 @@ func checkIndex(v Value, length int, line int) (int, error) {
 		return 0, errAt(line, "ArrayIndexOutOfBoundsException: index %d, length %d", i, length)
 	}
 	return int(i), nil
-}
-
-func (m *machine) evalBinary(x *ast.Binary, f *frame) (Value, error) {
-	// Short-circuit operators first.
-	switch x.Op {
-	case token.LAND:
-		l, err := m.evalBool(x.L, f)
-		if err != nil || !l {
-			return false, err
-		}
-		return m.evalBool(x.R, f)
-	case token.LOR:
-		l, err := m.evalBool(x.L, f)
-		if err != nil || l {
-			return l, err
-		}
-		return m.evalBool(x.R, f)
-	}
-	l, err := m.eval(x.L, f)
-	if err != nil {
-		return nil, err
-	}
-	r, err := m.eval(x.R, f)
-	if err != nil {
-		return nil, err
-	}
-	return binaryOp(x.Op, l, r, x.P.Line)
 }
 
 func binaryOp(op token.Kind, l, r Value, line int) (Value, error) {
@@ -290,17 +172,6 @@ func binaryOp(op token.Kind, l, r Value, line int) (Value, error) {
 	return nil, errAt(line, "unsupported operator %s", op)
 }
 
-func (m *machine) evalUnary(x *ast.Unary, f *frame) (Value, error) {
-	if x.Op == token.INC || x.Op == token.DEC {
-		return m.evalIncDec(x, f)
-	}
-	v, err := m.eval(x.X, f)
-	if err != nil {
-		return nil, err
-	}
-	return unaryOp(x.Op, v, x.P.Line)
-}
-
 // unaryOp applies a non-inc/dec prefix operator, shared by both engines.
 func unaryOp(op token.Kind, v Value, line int) (Value, error) {
 	switch op {
@@ -332,28 +203,6 @@ func unaryOp(op token.Kind, v Value, line int) (Value, error) {
 	return nil, errAt(line, "unsupported unary %s", op)
 }
 
-func (m *machine) evalIncDec(x *ast.Unary, f *frame) (Value, error) {
-	delta := int64(1)
-	if x.Op == token.DEC {
-		delta = -1
-	}
-	old, err := m.eval(x.X, f)
-	if err != nil {
-		return nil, err
-	}
-	nv, err := incDecValue(x.Op, old, delta, x.P.Line)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.store(x.X, nv, f); err != nil {
-		return nil, err
-	}
-	if x.Postfix {
-		return old, nil
-	}
-	return nv, nil
-}
-
 // incDecValue computes the successor value of ++/--, shared by both engines.
 func incDecValue(op token.Kind, old Value, delta int64, line int) (Value, error) {
 	switch o := old.(type) {
@@ -365,38 +214,6 @@ func incDecValue(op token.Kind, old Value, delta int64, line int) (Value, error)
 		return o + float64(delta), nil
 	}
 	return nil, errAt(line, "%s on %s", op, valueType(old))
-}
-
-func (m *machine) evalAssign(x *ast.Assign, f *frame) (Value, error) {
-	var v Value
-	var err error
-	if lit, ok := x.Value.(*ast.ArrayLit); ok {
-		v, err = m.evalArrayLit(lit, "int", f)
-	} else {
-		v, err = m.eval(x.Value, f)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if x.Op != token.ASSIGN {
-		old, err := m.eval(x.Target, f)
-		if err != nil {
-			return nil, err
-		}
-		binOp, ok := compoundOp(x.Op)
-		if !ok {
-			return nil, errAt(x.P.Line, "unsupported compound assignment %s", x.Op)
-		}
-		v, err = binaryOp(binOp, old, v, x.P.Line)
-		if err != nil {
-			return nil, err
-		}
-		v = narrowCompound(old, v)
-	}
-	if err := m.store(x.Target, v, f); err != nil {
-		return nil, err
-	}
-	return v, nil
 }
 
 // compoundOp maps a compound-assignment operator to its binary operator.
@@ -442,58 +259,6 @@ func narrowCompound(old, v Value) Value {
 		}
 	}
 	return v
-}
-
-// store writes v into an lvalue expression.
-func (m *machine) store(target ast.Expr, v Value, f *frame) error {
-	switch t := target.(type) {
-	case *ast.Paren:
-		return m.store(t.X, v, f)
-	case *ast.Ident:
-		return f.assign(t.Name, v, t.P.Line)
-	case *ast.Index:
-		arrv, err := m.eval(t.X, f)
-		if err != nil {
-			return err
-		}
-		arr, ok := arrv.(*Array)
-		if !ok || arr == nil {
-			return errAt(t.P.Line, "array store on %s", valueType(arrv))
-		}
-		idx, err := m.evalIndex(t.Idx, len(arr.Elems), f)
-		if err != nil {
-			return err
-		}
-		arr.Elems[idx] = coerceElem(v, arr.Elem)
-		if root, ok := t.X.(*ast.Ident); ok {
-			f.trace(t.P.Line, root.Name, arr)
-		}
-		return nil
-	}
-	return errAt(target.Pos().Line, "invalid assignment target %T", target)
-}
-
-func (m *machine) evalNewArray(x *ast.NewArray, f *frame) (Value, error) {
-	if x.Init != nil {
-		lit := &ast.ArrayLit{Elems: x.Init, P: x.P}
-		return m.evalArrayLit(lit, x.Elem.Name, f)
-	}
-	if len(x.Dims) == 0 {
-		return nil, errAt(x.P.Line, "new array without dimensions")
-	}
-	sizes := make([]int, len(x.Dims))
-	for i, d := range x.Dims {
-		v, err := m.eval(d, f)
-		if err != nil {
-			return nil, err
-		}
-		n, err := checkArrayDim(v, x.P.Line)
-		if err != nil {
-			return nil, err
-		}
-		sizes[i] = n
-	}
-	return buildArray(x.Elem.Name, sizes, 0), nil
 }
 
 // checkArrayDim validates a new-array dimension value, shared by both engines.

@@ -2,6 +2,10 @@ package interp
 
 import "semfeed/internal/java/ast"
 
+// foldSteps is the step budget of one constant fold. Closed expressions are
+// small; the budget only stops a pathological one from costing much.
+const foldSteps = 1024
+
 // FoldConst evaluates a closed expression — one built purely from literals,
 // arithmetic/logical operators, parentheses, casts and ternaries — to its
 // constant value. The static-analysis layer uses it to detect conditions
@@ -11,19 +15,16 @@ import "semfeed/internal/java/ast"
 // any other non-constant construct, or when evaluation itself fails (e.g.
 // division by zero): such expressions are simply not constants, never an
 // error.
+//
+// The expression is lowered and run on the compiled engine exactly as a
+// class-field initializer is: a bare exprFn over emptyFrame, with no locals
+// and no globals to resolve.
 func FoldConst(e ast.Expr) (Value, bool) {
 	if e == nil || !closedExpr(e) {
 		return nil, false
 	}
-	m := &machine{
-		cfg:     Config{MaxSteps: 1024},
-		budget:  1024,
-		methods: map[string]*ast.Method{},
-		globals: map[string]Value{},
-	}
-	f := &frame{machine: m, method: "<fold>"}
-	f.push()
-	v, err := m.eval(e, f)
+	c := &compiler{p: &Program{}, fn: &compiledMethod{name: "<fold>"}}
+	v, err := c.expr(e)(&vm{budget: foldSteps}, emptyFrame)
 	if err != nil {
 		return nil, false
 	}

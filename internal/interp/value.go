@@ -1,8 +1,12 @@
-// Package interp is a tree-walking interpreter for the Java subset. It
-// substitutes for the JVM in the functional-testing harness: deterministic
-// execution of intro-level programs with console capture, simulated Scanner
-// input and files, a step budget that surfaces infinite loops as errors, and
-// optional variable tracing (used by the CLARA-style baseline).
+// Package interp is an interpreter for the Java subset. It substitutes for
+// the JVM in the functional-testing harness: deterministic execution of
+// intro-level programs with console capture, simulated Scanner input and
+// files, a step budget that surfaces infinite loops as errors, and optional
+// variable tracing (used by the CLARA-style baseline). Programs are lowered
+// once to closure code (Compile) and run many times; FoldConst evaluates
+// constant conditions for the static analyzers on the same engine. The
+// original tree-walking evaluator is kept in the tests as the oracle the
+// compiled engine is checked against.
 package interp
 
 import (

@@ -1,6 +1,7 @@
 package parser_test
 
 import (
+	"strings"
 	"testing"
 
 	"semfeed/internal/java/parser"
@@ -23,6 +24,15 @@ func FuzzParse(f *testing.F) {
 		"void broken( {",
 		"}}}}((((",
 		"void f() { for (;;) break; }",
+		// Deep nesting: just inside and just past parser.MaxNesting. The
+		// inside cases also drive the recursive downstream walkers at
+		// their deepest.
+		"void f() { int x = " + strings.Repeat("(", parser.MaxNesting-10) + "1" + strings.Repeat(")", parser.MaxNesting-10) + "; }",
+		"void f() { int x = " + strings.Repeat("(", parser.MaxNesting) + "1" + strings.Repeat(")", parser.MaxNesting) + "; }",
+		"void f() " + strings.Repeat("{", parser.MaxNesting-10) + strings.Repeat("}", parser.MaxNesting-10),
+		strings.Repeat("{", parser.MaxNesting+1),
+		"void f() { boolean b = " + strings.Repeat("!", parser.MaxNesting-10) + "true; }",
+		"void f() { int x = " + strings.Repeat("- ", parser.MaxNesting+1) + "1; }",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -15,10 +15,27 @@ import (
 	"semfeed/internal/obs"
 )
 
-// Parser consumes a token stream and produces an AST.
+// MaxNesting bounds the parser's recursion depth. Every statement, every
+// expression, every array literal and every prefix operator or cast opens
+// one level while its operands parse. Past the bound the
+// parse fails with an ordinary syntax error instead of exhausting the
+// goroutine stack on hostile input such as a megabyte of "(((". It also
+// bounds the depth of nested-shape ASTs for the recursive walkers that run
+// on them downstream (pretty printing, EPDG construction, interpreter
+// compilation, constant folding). Real submissions stay far below it: the
+// built-in reference solutions and their synthesized variants peak at 8.
+const MaxNesting = 1000
+
+// scanBatch is how many tokens the parser lexes ahead at a time.
+const scanBatch = 256
+
+// Parser consumes a token stream and produces an AST. Tokens are scanned on
+// demand, so a parse that bails out early never lexes the rest of its input.
 type Parser struct {
-	toks   []token.Token
+	lx     *lexer.Lexer
+	toks   []token.Token // scanned so far; ends with EOF once input is done
 	pos    int
+	depth  int // open nesting levels, see MaxNesting
 	errors []error
 }
 
@@ -30,8 +47,7 @@ func Parse(src string) (*ast.CompilationUnit, error) {
 	start := time.Now()
 	obs.ParsesTotal.Inc()
 	lx := lexer.New(src)
-	toks := lx.All()
-	p := &Parser{toks: toks}
+	p := &Parser{lx: lx}
 	unit := p.parseUnit()
 	obs.ParseSeconds.ObserveDuration(time.Since(start))
 	errs := append(lx.Errors(), p.errors...)
@@ -67,8 +83,9 @@ func ParseMethod(src string) (*ast.Method, error) {
 // ParseExpr parses a single expression (used by the pattern compiler).
 func ParseExpr(src string) (ast.Expr, error) {
 	lx := lexer.New(src)
-	p := &Parser{toks: lx.All()}
-	e := p.parseExpr()
+	p := &Parser{lx: lx}
+	var e ast.Expr
+	p.try(func() { e = p.parseExpr() })
 	if len(lx.Errors()) > 0 || len(p.errors) > 0 || p.cur().Kind != token.EOF {
 		return nil, fmt.Errorf("%w: invalid expression %q", ErrSyntax, src)
 	}
@@ -79,32 +96,69 @@ func ParseExpr(src string) (ast.Expr, error) {
 // declaration templates like "int x = 0;").
 func ParseStmt(src string) (ast.Stmt, error) {
 	lx := lexer.New(src)
-	p := &Parser{toks: lx.All()}
-	s := p.parseStmt()
+	p := &Parser{lx: lx}
+	var s ast.Stmt
+	p.try(func() { s = p.parseStmt() })
 	if len(lx.Errors()) > 0 || len(p.errors) > 0 || p.cur().Kind != token.EOF {
 		return nil, fmt.Errorf("%w: invalid statement %q", ErrSyntax, src)
 	}
 	return s, nil
 }
 
-func (p *Parser) cur() token.Token { return p.toks[p.pos] }
-
-func (p *Parser) peekKind(ahead int) token.Kind {
-	if p.pos+ahead >= len(p.toks) {
-		return token.EOF
+// scan lexes ahead in batches of scanBatch tokens until index i exists or
+// the input ends, and returns the token at i; past the end of input that is
+// the EOF token.
+func (p *Parser) scan(i int) token.Token {
+	for i >= len(p.toks) {
+		n := len(p.toks)
+		if n > 0 && p.toks[n-1].Kind == token.EOF {
+			return p.toks[n-1]
+		}
+		for end := n + scanBatch; n < end; n++ {
+			t := p.lx.Next()
+			p.toks = append(p.toks, t)
+			if t.Kind == token.EOF {
+				break
+			}
+		}
 	}
-	return p.toks[p.pos+ahead].Kind
+	return p.toks[i]
+}
+
+// kind returns the kind of the token at index i (EOF past the end).
+func (p *Parser) kind(i int) token.Kind {
+	if i < len(p.toks) {
+		return p.toks[i].Kind
+	}
+	return p.scan(i).Kind
+}
+
+func (p *Parser) cur() token.Token {
+	if p.pos < len(p.toks) {
+		return p.toks[p.pos]
+	}
+	return p.scan(p.pos)
+}
+
+func (p *Parser) peekKind(ahead int) token.Kind { return p.kind(p.pos + ahead) }
+
+// skipDims returns the index past the "[ ]" pairs starting at index i.
+func (p *Parser) skipDims(i int) int {
+	for p.kind(i) == token.LBRACK && p.kind(i+1) == token.RBRACK {
+		i += 2
+	}
+	return i
 }
 
 func (p *Parser) next() token.Token {
-	t := p.toks[p.pos]
+	t := p.cur()
 	if t.Kind != token.EOF {
 		p.pos++
 	}
 	return t
 }
 
-func (p *Parser) at(k token.Kind) bool { return p.cur().Kind == k }
+func (p *Parser) at(k token.Kind) bool { return p.kind(p.pos) == k }
 
 func (p *Parser) accept(k token.Kind) bool {
 	if p.at(k) {
@@ -125,11 +179,38 @@ func (p *Parser) expect(k token.Kind) token.Token {
 func (p *Parser) errorf(format string, args ...any) {
 	p.errors = append(p.errors, fmt.Errorf("%s: %s", p.cur().Pos, fmt.Sprintf(format, args...)))
 	if len(p.errors) > 100 {
-		panic(tooManyErrors{})
+		panic(bailout{})
 	}
 }
 
-type tooManyErrors struct{}
+// bailout abandons a parse that cannot produce anything useful any more:
+// too many errors, or nesting past MaxNesting. The errors already recorded
+// make the parse fail.
+type bailout struct{}
+
+// try runs one parse production, stopping a bailout.
+func (p *Parser) try(parse func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(bailout); !ok {
+				panic(r)
+			}
+		}
+	}()
+	parse()
+}
+
+// enter opens one nesting level, bailing out past MaxNesting; leave closes
+// it.
+func (p *Parser) enter() {
+	p.depth++
+	if p.depth > MaxNesting {
+		p.errorf("nesting deeper than %d levels", MaxNesting)
+		panic(bailout{})
+	}
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 // sync skips tokens until a statement boundary to recover from errors.
 func (p *Parser) sync() {
@@ -148,15 +229,15 @@ func (p *Parser) sync() {
 // ---------------------------------------------------------------------------
 // Compilation unit
 
-func (p *Parser) parseUnit() (unit *ast.CompilationUnit) {
-	unit = &ast.CompilationUnit{}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(tooManyErrors); !ok {
-				panic(r)
-			}
-		}
-	}()
+func (p *Parser) parseUnit() *ast.CompilationUnit {
+	unit := &ast.CompilationUnit{}
+	p.try(func() { p.parseDecls(unit) })
+	return unit
+}
+
+// parseDecls fills unit with the package clause, imports and top-level
+// declarations.
+func (p *Parser) parseDecls(unit *ast.CompilationUnit) {
 	if p.accept(token.PACKAGE) {
 		unit.Package = p.parseQualifiedName()
 		p.expect(token.SEMICOLON)
@@ -189,7 +270,6 @@ func (p *Parser) parseUnit() (unit *ast.CompilationUnit) {
 			}
 		}
 	}
-	return unit
 }
 
 func (p *Parser) parseQualifiedName() string {
@@ -272,21 +352,13 @@ func (p *Parser) parseClass() *ast.Class {
 
 // looksLikeMethod reports whether the upcoming tokens form "Type name (".
 func (p *Parser) looksLikeMethod() bool {
-	i := p.pos
 	// Return type: primitive/void or identifier, with [] pairs.
-	k := p.toks[i].Kind
+	k := p.cur().Kind
 	if !(k.IsType() || k == token.IDENT) {
 		return false
 	}
-	i++
-	for i+1 < len(p.toks) && p.toks[i].Kind == token.LBRACK && p.toks[i+1].Kind == token.RBRACK {
-		i += 2
-	}
-	if i >= len(p.toks) || p.toks[i].Kind != token.IDENT {
-		return false
-	}
-	i++
-	return i < len(p.toks) && p.toks[i].Kind == token.LPAREN
+	i := p.skipDims(p.pos + 1)
+	return p.kind(i) == token.IDENT && p.kind(i+1) == token.LPAREN
 }
 
 func (p *Parser) parseMethod(mods []string) *ast.Method {
@@ -376,6 +448,8 @@ func (p *Parser) parseBlock() *ast.Block {
 }
 
 func (p *Parser) parseStmt() ast.Stmt {
+	p.enter()
+	defer p.leave()
 	cur := p.cur()
 	switch cur.Kind {
 	case token.LBRACE:
@@ -464,22 +538,14 @@ func (p *Parser) parseStmt() ast.Stmt {
 // looksLikeDecl disambiguates "Scanner s = ..." style declarations with a
 // class-name type from expression statements.
 func (p *Parser) looksLikeDecl() bool {
-	i := p.pos
-	if p.toks[i].Kind != token.IDENT {
+	if p.cur().Kind != token.IDENT {
 		return false
 	}
-	i++
-	for i+1 < len(p.toks) && p.toks[i].Kind == token.LBRACK && p.toks[i+1].Kind == token.RBRACK {
-		i += 2
-	}
-	if i >= len(p.toks) || p.toks[i].Kind != token.IDENT {
+	i := p.skipDims(p.pos + 1)
+	if p.kind(i) != token.IDENT {
 		return false
 	}
-	i++
-	if i >= len(p.toks) {
-		return false
-	}
-	switch p.toks[i].Kind {
+	switch p.kind(i + 1) {
 	case token.ASSIGN, token.SEMICOLON, token.COMMA, token.LBRACK:
 		return true
 	}
@@ -517,6 +583,8 @@ func (p *Parser) parseDeclarators(typ ast.Type, pos token.Pos) *ast.LocalVarDecl
 }
 
 func (p *Parser) parseArrayLit() ast.Expr {
+	p.enter()
+	defer p.leave()
 	lb := p.expect(token.LBRACE)
 	lit := &ast.ArrayLit{P: lb.Pos}
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
@@ -610,22 +678,15 @@ func (p *Parser) parseFor() ast.Stmt {
 // isForEachHeader scans ahead for "Type ident :".
 func (p *Parser) isForEachHeader() bool {
 	i := p.pos
-	if p.toks[i].Kind == token.FINAL {
+	if p.kind(i) == token.FINAL {
 		i++
 	}
-	k := p.toks[i].Kind
+	k := p.kind(i)
 	if !(k.IsType() || k == token.IDENT) {
 		return false
 	}
-	i++
-	for i+1 < len(p.toks) && p.toks[i].Kind == token.LBRACK && p.toks[i+1].Kind == token.RBRACK {
-		i += 2
-	}
-	if i >= len(p.toks) || p.toks[i].Kind != token.IDENT {
-		return false
-	}
-	i++
-	return i < len(p.toks) && p.toks[i].Kind == token.COLON
+	i = p.skipDims(i + 1)
+	return p.kind(i) == token.IDENT && p.kind(i+1) == token.COLON
 }
 
 func (p *Parser) parseSwitch() ast.Stmt {
@@ -665,8 +726,13 @@ func (p *Parser) parseExpr() ast.Expr { return p.parseAssign() }
 // parseExprNoComma is the expression entry used where a comma is a separator.
 func (p *Parser) parseExprNoComma() ast.Expr { return p.parseAssign() }
 
+// parseAssign is the entry of every expression (parseExpr and
+// parseExprNoComma are aliases), so it opens the expression's nesting level;
+// right-associative assignment and ternary chains recurse through it too.
+// It runs once per expression, so it closes the level without a defer.
 func (p *Parser) parseAssign() ast.Expr {
-	lhs := p.parseTernary()
+	p.enter()
+	x := p.parseTernary()
 	if p.cur().Kind.IsAssignOp() {
 		op := p.next()
 		var rhs ast.Expr
@@ -675,9 +741,10 @@ func (p *Parser) parseAssign() ast.Expr {
 		} else {
 			rhs = p.parseAssign() // right-associative
 		}
-		return &ast.Assign{Op: op.Kind, Target: lhs, Value: rhs, P: lhs.Pos()}
+		x = &ast.Assign{Op: op.Kind, Target: x, Value: rhs, P: x.Pos()}
 	}
-	return lhs
+	p.leave()
+	return x
 }
 
 func (p *Parser) parseTernary() ast.Expr {
@@ -741,12 +808,9 @@ func (p *Parser) parseBinary(minPrec int) ast.Expr {
 func (p *Parser) parseUnary() ast.Expr {
 	cur := p.cur()
 	switch cur.Kind {
-	case token.NOT, token.SUB, token.ADD, token.TILDE:
+	case token.NOT, token.SUB, token.ADD, token.TILDE, token.INC, token.DEC:
 		p.next()
-		return &ast.Unary{Op: cur.Kind, X: p.parseUnary(), P: cur.Pos}
-	case token.INC, token.DEC:
-		p.next()
-		return &ast.Unary{Op: cur.Kind, X: p.parseUnary(), P: cur.Pos}
+		return &ast.Unary{Op: cur.Kind, X: p.parseOperand(), P: cur.Pos}
 	case token.LPAREN:
 		// Cast: "(" Type ")" unary — only for primitive types to keep the
 		// grammar unambiguous; class-type casts do not occur in the corpus.
@@ -754,23 +818,28 @@ func (p *Parser) parseUnary() ast.Expr {
 			p.next()
 			typ := p.parseType()
 			p.expect(token.RPAREN)
-			return &ast.Cast{To: typ, X: p.parseUnary(), P: cur.Pos}
+			return &ast.Cast{To: typ, X: p.parseOperand(), P: cur.Pos}
 		}
 	}
 	return p.parsePostfix()
 }
 
+// parseOperand parses the operand of a prefix operator or cast one nesting
+// level down.
+func (p *Parser) parseOperand() ast.Expr {
+	p.enter()
+	x := p.parseUnary()
+	p.leave()
+	return x
+}
+
 // castCloseParen checks the token after "(" Type is ")".
 func (p *Parser) castCloseParen() bool {
 	i := p.pos + 1 // after '('
-	if !p.toks[i].Kind.IsType() {
+	if !p.kind(i).IsType() {
 		return false
 	}
-	i++
-	for i+1 < len(p.toks) && p.toks[i].Kind == token.LBRACK && p.toks[i+1].Kind == token.RBRACK {
-		i += 2
-	}
-	return i < len(p.toks) && p.toks[i].Kind == token.RPAREN
+	return p.kind(p.skipDims(i+1)) == token.RPAREN
 }
 
 func (p *Parser) parsePostfix() ast.Expr {

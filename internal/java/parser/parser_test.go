@@ -1,6 +1,7 @@
 package parser_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -253,7 +254,57 @@ func TestErrorsDoNotPanicOrHang(t *testing.T) {
 		"int int int",
 	}
 	for _, src := range nasty {
-		_, _ = parser.Parse(src) // must terminate
+		// Must terminate without panicking, including past 100 errors.
+		_, _ = parser.Parse(src)
+		_, _ = parser.ParseExpr(src)
+		_, _ = parser.ParseStmt(src)
+	}
+}
+
+// nested wraps body in n copies of open and close.
+func nested(n int, open, body, close string) string {
+	return strings.Repeat(open, n) + body + strings.Repeat(close, n)
+}
+
+// TestNestingBudget pins MaxNesting: deep parentheses, blocks and unary
+// chains inside the budget parse, and past it they fail with an ordinary
+// syntax error instead of exhausting the stack.
+func TestNestingBudget(t *testing.T) {
+	method := func(body string) string { return "void f() { " + body + " }" }
+	ok := []struct{ name, src string }{
+		{"parens", method("int x = " + nested(parser.MaxNesting-10, "(", "1", ")") + ";")},
+		{"blocks", method(nested(parser.MaxNesting-10, "{", "", "}"))},
+		{"unary", method("int x = " + strings.Repeat("- ", parser.MaxNesting-10) + "1;")},
+		{"not", method("boolean b = " + strings.Repeat("!", parser.MaxNesting-10) + "true;")},
+	}
+	for _, c := range ok {
+		if _, err := parser.Parse(c.src); err != nil {
+			t.Errorf("%s within the budget: %v", c.name, err)
+		}
+	}
+	deep := []struct{ name, src string }{
+		{"parens", method("int x = " + nested(parser.MaxNesting, "(", "1", ")") + ";")},
+		{"blocks", method(nested(parser.MaxNesting+1, "{", "", "}"))},
+		{"unary", method("int x = " + strings.Repeat("- ", parser.MaxNesting+1) + "1;")},
+		{"casts", method("int x = " + strings.Repeat("(int) ", parser.MaxNesting+1) + "1;")},
+		{"ternaries", method("int x = " + strings.Repeat("c ? 1 : ", parser.MaxNesting+1) + "0;")},
+		{"assignments", method(strings.Repeat("x = ", parser.MaxNesting+1) + "0;")},
+		{"array-literal", method("int[] a = " + nested(parser.MaxNesting+1, "{", "1", "}") + ";")},
+		{"if-chain", method(strings.Repeat("if (c) ", parser.MaxNesting+1) + "x++;")},
+		// The shape that used to kill the process: 3,000,023 bytes.
+		{"3MB-parens", method("int x = " + nested(1_500_000, "(", "1", ")") + ";")},
+	}
+	for _, c := range deep {
+		_, err := parser.Parse(c.src)
+		if !errors.Is(err, parser.ErrSyntax) || !strings.Contains(err.Error(), "nesting deeper than") {
+			t.Errorf("%s past the budget: got %v, want a nesting syntax error", c.name, err)
+		}
+	}
+	if _, err := parser.ParseExpr(nested(parser.MaxNesting, "(", "1", ")")); !errors.Is(err, parser.ErrSyntax) {
+		t.Errorf("ParseExpr past the budget: got %v, want a syntax error", err)
+	}
+	if _, err := parser.ParseStmt(nested(parser.MaxNesting+1, "{", "", "}")); !errors.Is(err, parser.ErrSyntax) {
+		t.Errorf("ParseStmt past the budget: got %v, want a syntax error", err)
 	}
 }
 

@@ -133,6 +133,32 @@ func TestGradeErrors(t *testing.T) {
 	}
 }
 
+// TestDeepNestingRejected pins the hostile-nesting fix: a 3 MB submission of
+// nested parentheses (inside the body limit) used to overflow the parser's
+// stack and kill the process. It must come back as an ordinary 422, and the
+// server must go on grading.
+func TestDeepNestingRejected(t *testing.T) {
+	srv := New(Config{Registry: testRegistry(t)})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const n = 1_500_000
+	src := "void f() { int x = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; }"
+	if len(src) != 3_000_023 {
+		t.Fatalf("source is %d bytes", len(src))
+	}
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/grade", GradeRequest{Assignment: "assignment1", Source: src})
+	if resp.StatusCode != http.StatusUnprocessableEntity || !bytes.Contains(body, []byte("nesting deeper than")) {
+		t.Fatalf("deep nesting: status %d: %.200s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/grade", GradeRequest{
+		Assignment: "assignment1", Source: assignments.Get("assignment1").Reference(),
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("grade after the deep submission: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 func TestBatchEndpoint(t *testing.T) {
 	srv := New(Config{Registry: testRegistry(t)})
 	ts := httptest.NewServer(srv.Handler())

@@ -127,6 +127,20 @@ curl -sf "http://${ADDR}/v1/trace/${EX_ID}" | grep -q "\"id\":\"${EX_ID}\"" \
 echo "== checking /debug/pprof"
 curl -sf "http://${ADDR}/debug/pprof/" >/dev/null || fail "pprof index not reachable with -pprof"
 
+echo "== hostile nesting: 422, and the server keeps grading"
+# 3 MB of nested parentheses, inside the 4 MiB body limit. This used to
+# overflow the parser's stack and kill the process.
+{ printf '{"assignment": "assignment1", "source": "void f() { int x = '
+  head -c 1500000 /dev/zero | tr '\0' '('
+  printf 1
+  head -c 1500000 /dev/zero | tr '\0' ')'
+  printf '; }"}'; } > "${WORK}/deep.json"
+CODE="$(curl -s -o "${WORK}/deep.out" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+  --data-binary @"${WORK}/deep.json" "http://${ADDR}/v1/grade")"
+[ "${CODE}" = "422" ] || fail "deep nesting: status ${CODE}, want 422: $(head -c 300 "${WORK}/deep.out")"
+curl -sf -X POST -H 'Content-Type: application/json' --data @"${WORK}/req.json" \
+  "http://${ADDR}/v1/grade" | grep -q '"report"' || fail "no grade after the deep submission"
+
 echo "== draining (SIGTERM)"
 kill -TERM "${SRV_PID}"
 if ! wait "${SRV_PID}"; then fail "semfeedd exited nonzero on SIGTERM"; fi
