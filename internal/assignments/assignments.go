@@ -75,16 +75,6 @@ func All() []*Assignment {
 // Get returns an assignment by ID, or nil.
 func Get(id string) *Assignment { return registry[id] }
 
-// IDs returns the assignment IDs in Table I order.
-func IDs() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, a := range all {
-		out[i] = a.ID
-	}
-	return out
-}
-
 var tableIOrder = []string{
 	"assignment1",
 	"esc-LAB-3-P1-V1",

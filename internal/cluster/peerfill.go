@@ -62,9 +62,3 @@ func (p *peerRing) Get(k store.Key) ([]byte, bool) {
 	}
 	return body, ok
 }
-
-// Put is a no-op: the remote tier is read-only (see type comment).
-func (p *peerRing) Put(store.Key, []byte) {}
-
-// Len is unknown for the remote tier.
-func (p *peerRing) Len() int { return 0 }

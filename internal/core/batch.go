@@ -49,15 +49,6 @@ func (s *BatchStats) Throughput() float64 {
 	return float64(s.Graded) / s.Wall.Seconds()
 }
 
-// Speedup returns the ratio of summed per-submission grading time to wall
-// time — the effective parallelism the pool achieved.
-func (s *BatchStats) Speedup() float64 {
-	if s.Wall <= 0 {
-		return 0
-	}
-	return s.GradeTime.Seconds() / s.Wall.Seconds()
-}
-
 // String renders the stats for logs.
 func (s *BatchStats) String() string {
 	return fmt.Sprintf("%d graded, %d failed, %d cancelled in %v (%d workers, %.1f subs/sec)",

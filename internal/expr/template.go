@@ -39,8 +39,9 @@ type Template struct {
 type alternative struct {
 	raw     string
 	isRegex bool
-	tokens  []string // token form for fragment alternatives
-	varIdx  [][]int  // per token: indexes into vars if the token is a variable
+	re      *regexp.Regexp // regex alternatives without ${v} placeholders, compiled once
+	tokens  []string       // token form for fragment alternatives
+	varIdx  [][]int        // per token: indexes into vars if the token is a variable
 }
 
 // Compile builds a template from raw alternatives given the declared pattern
@@ -79,10 +80,15 @@ func Compile(alternatives []string, patternVars []string) (*Template, error) {
 			for _, v := range patternVars {
 				probe = strings.ReplaceAll(probe, "${"+v+"}", "x")
 			}
-			if _, err := regexp.Compile(probe); err != nil {
+			re, err := regexp.Compile(probe)
+			if err != nil {
 				return nil, fmt.Errorf("expr: bad regex alternative %q: %v", raw, err)
 			}
-			t.alts = append(t.alts, alternative{raw: body, isRegex: true})
+			a := alternative{raw: body, isRegex: true}
+			if !strings.Contains(body, "${") {
+				a.re = re
+			}
+			t.alts = append(t.alts, a)
 			continue
 		}
 		toks := pretty.Tokens(normalizeFragment(raw))
@@ -136,7 +142,7 @@ func (t *Template) Match(gamma map[string]string, renderings []string) bool {
 	}
 	for _, a := range t.alts {
 		if a.isRegex {
-			if matchRegexAlt(a.raw, gamma, renderings) {
+			if a.matchRegex(gamma, renderings) {
 				return true
 			}
 			continue
@@ -167,26 +173,55 @@ func (t *Template) Match(gamma map[string]string, renderings []string) bool {
 	return false
 }
 
-var regexCache sync.Map // string -> *regexp.Regexp
+// regexCacheCap bounds the cache of γ-substituted regex alternatives. γ maps
+// pattern variables to the submission's own identifiers, so the set of
+// substituted patterns is driven by untrusted input; the cache clears when
+// full instead of growing with it. 2,000 samples of each Table I assignment
+// produce 165 distinct substituted patterns in all.
+const regexCacheCap = 4096
 
-func matchRegexAlt(body string, gamma map[string]string, renderings []string) bool {
-	pat := body
-	for v, mapped := range gamma {
-		pat = strings.ReplaceAll(pat, "${"+v+"}", regexp.QuoteMeta(mapped))
+var regexCache = struct {
+	sync.RWMutex
+	m map[string]*regexp.Regexp
+}{m: map[string]*regexp.Regexp{}}
+
+// cachedRegexp compiles pat through regexCache.
+func cachedRegexp(pat string) (*regexp.Regexp, error) {
+	regexCache.RLock()
+	re, ok := regexCache.m[pat]
+	regexCache.RUnlock()
+	if ok {
+		return re, nil
 	}
-	if strings.Contains(pat, "${") {
-		return false // refers to an unbound variable
+	re, err := regexp.Compile(pat)
+	if err != nil {
+		return nil, err
 	}
-	var re *regexp.Regexp
-	if cached, ok := regexCache.Load(pat); ok {
-		re = cached.(*regexp.Regexp)
-	} else {
-		compiled, err := regexp.Compile(pat)
-		if err != nil {
+	regexCache.Lock()
+	if len(regexCache.m) >= regexCacheCap {
+		clear(regexCache.m)
+	}
+	regexCache.m[pat] = re
+	regexCache.Unlock()
+	return re, nil
+}
+
+// matchRegex matches a regex alternative: the one compiled at Compile time
+// when it has no placeholders, otherwise its γ-substituted form.
+func (a *alternative) matchRegex(gamma map[string]string, renderings []string) bool {
+	re := a.re
+	if re == nil {
+		pat := a.raw
+		for v, mapped := range gamma {
+			pat = strings.ReplaceAll(pat, "${"+v+"}", regexp.QuoteMeta(mapped))
+		}
+		if strings.Contains(pat, "${") {
+			return false // refers to an unbound variable
+		}
+		var err error
+		if re, err = cachedRegexp(pat); err != nil {
 			return false
 		}
-		regexCache.Store(pat, compiled)
-		re = compiled
 	}
 	for _, r := range renderings {
 		if re.MatchString(r) {

@@ -33,6 +33,14 @@ func FuzzParse(f *testing.F) {
 		strings.Repeat("{", parser.MaxNesting+1),
 		"void f() { boolean b = " + strings.Repeat("!", parser.MaxNesting-10) + "true; }",
 		"void f() { int x = " + strings.Repeat("- ", parser.MaxNesting+1) + "1; }",
+		// Flat chains the parser folds in a loop: each fold is one AST
+		// level, so they are charged against the same budget.
+		"void f() { int x = 1" + strings.Repeat("+1", parser.MaxNesting-10) + "; }",
+		"void f() { int x = 1" + strings.Repeat("+1", parser.MaxNesting) + "; }",
+		"void f() { int x = 1" + strings.Repeat("-1", parser.MaxNesting-10) + "; }",
+		"void f() { int x = 1" + strings.Repeat("-1", parser.MaxNesting) + "; }",
+		"void f(int[] a) { int x = a" + strings.Repeat("[0]", parser.MaxNesting-10) + "; }",
+		"void f(int[] a) { int x = a" + strings.Repeat("[0]", parser.MaxNesting) + "; }",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -15,15 +15,18 @@ import (
 	"semfeed/internal/obs"
 )
 
-// MaxNesting bounds the parser's recursion depth. Every statement, every
-// expression, every array literal and every prefix operator or cast opens
-// one level while its operands parse. Past the bound the
-// parse fails with an ordinary syntax error instead of exhausting the
-// goroutine stack on hostile input such as a megabyte of "(((". It also
-// bounds the depth of nested-shape ASTs for the recursive walkers that run
-// on them downstream (pretty printing, EPDG construction, interpreter
-// compilation, constant folding). Real submissions stay far below it: the
-// built-in reference solutions and their synthesized variants peak at 8.
+// MaxNesting bounds the depth of the AST the parser builds. Every statement,
+// every expression, every array literal and every prefix operator or cast
+// opens one level while its operands parse, and every binary operator or
+// postfix step (call, field access, subscript, ++/--) that a loop folds into
+// its left operand holds one level until the loop returns. Past the bound
+// the parse fails with an ordinary syntax error instead of exhausting the
+// goroutine stack on hostile input such as a megabyte of "(((" or of
+// "1+1+…". Because flat chains are charged too, it bounds every AST the
+// recursive walkers downstream see (pretty printing, EPDG construction,
+// interpreter compilation, constant folding). Real submissions stay far
+// below it: the built-in reference solutions and their synthesized variants
+// peak at 9.
 const MaxNesting = 1000
 
 // scanBatch is how many tokens the parser lexes ahead at a time.
@@ -785,14 +788,21 @@ func binaryPrec(k token.Kind) int {
 	return -1
 }
 
+// parseBinary folds a left-associative operator chain in a loop, so each
+// fold makes the AST one level deeper without recursing; it holds one
+// nesting level per fold until the chain ends.
 func (p *Parser) parseBinary(minPrec int) ast.Expr {
 	lhs := p.parseUnary()
+	folds := 0
 	for {
 		k := p.cur().Kind
 		prec := binaryPrec(k)
 		if prec < minPrec {
+			p.depth -= folds
 			return lhs
 		}
+		p.enter()
+		folds++
 		if k == token.INSTANCEOF {
 			p.next()
 			typ := p.parseType()
@@ -842,13 +852,25 @@ func (p *Parser) castCloseParen() bool {
 	return p.kind(p.skipDims(i+1)) == token.RPAREN
 }
 
+// parsePostfix folds calls, field accesses, subscripts and postfix ++/-- into
+// their operand in a loop; like parseBinary it holds one nesting level per
+// fold until the chain ends.
 func (p *Parser) parsePostfix() ast.Expr {
 	x := p.parsePrimary()
+	folds := 0
 	for {
 		cur := p.cur()
 		switch cur.Kind {
-		case token.PERIOD:
+		case token.PERIOD, token.LBRACK, token.INC, token.DEC:
+			p.enter()
+			folds++
 			p.next()
+		default:
+			p.depth -= folds
+			return x
+		}
+		switch cur.Kind {
+		case token.PERIOD:
 			name := p.expect(token.IDENT)
 			if p.at(token.LPAREN) {
 				x = p.finishCall(x, name.Lit, name.Pos)
@@ -856,15 +878,11 @@ func (p *Parser) parsePostfix() ast.Expr {
 				x = &ast.FieldAccess{X: x, Name: name.Lit, P: name.Pos}
 			}
 		case token.LBRACK:
-			p.next()
 			idx := p.parseExpr()
 			p.expect(token.RBRACK)
 			x = &ast.Index{X: x, Idx: idx, P: cur.Pos}
-		case token.INC, token.DEC:
-			p.next()
+		default: // INC, DEC
 			x = &ast.Unary{Op: cur.Kind, X: x, Postfix: true, P: cur.Pos}
-		default:
-			return x
 		}
 	}
 }

@@ -266,9 +266,11 @@ func nested(n int, open, body, close string) string {
 	return strings.Repeat(open, n) + body + strings.Repeat(close, n)
 }
 
-// TestNestingBudget pins MaxNesting: deep parentheses, blocks and unary
-// chains inside the budget parse, and past it they fail with an ordinary
-// syntax error instead of exhausting the stack.
+// TestNestingBudget pins MaxNesting: deep parentheses, blocks, unary chains
+// and flat operator or postfix chains inside the budget parse, and past it
+// they fail with an ordinary syntax error instead of exhausting the stack
+// (or, for the flat chains, building an AST deep enough to exhaust it in a
+// recursive walker downstream).
 func TestNestingBudget(t *testing.T) {
 	method := func(body string) string { return "void f() { " + body + " }" }
 	ok := []struct{ name, src string }{
@@ -276,6 +278,9 @@ func TestNestingBudget(t *testing.T) {
 		{"blocks", method(nested(parser.MaxNesting-10, "{", "", "}"))},
 		{"unary", method("int x = " + strings.Repeat("- ", parser.MaxNesting-10) + "1;")},
 		{"not", method("boolean b = " + strings.Repeat("!", parser.MaxNesting-10) + "true;")},
+		{"sum-chain", method("int x = 1" + strings.Repeat("+1", parser.MaxNesting-10) + ";")},
+		{"difference-chain", method("int x = 1" + strings.Repeat("-1", parser.MaxNesting-10) + ";")},
+		{"subscript-chain", method("int x = a" + strings.Repeat("[0]", parser.MaxNesting-10) + ";")},
 	}
 	for _, c := range ok {
 		if _, err := parser.Parse(c.src); err != nil {
@@ -291,8 +296,19 @@ func TestNestingBudget(t *testing.T) {
 		{"assignments", method(strings.Repeat("x = ", parser.MaxNesting+1) + "0;")},
 		{"array-literal", method("int[] a = " + nested(parser.MaxNesting+1, "{", "1", "}") + ";")},
 		{"if-chain", method(strings.Repeat("if (c) ", parser.MaxNesting+1) + "x++;")},
-		// The shape that used to kill the process: 3,000,023 bytes.
+		{"sum-chain", method("int x = 1" + strings.Repeat("+1", parser.MaxNesting) + ";")},
+		{"difference-chain", method("int x = 1" + strings.Repeat("-1", parser.MaxNesting) + ";")},
+		{"subscript-chain", method("int x = a" + strings.Repeat("[0]", parser.MaxNesting) + ";")},
+		{"call-chain", method("s" + strings.Repeat(".f()", parser.MaxNesting) + ";")},
+		{"field-chain", method("int x = s" + strings.Repeat(".f", parser.MaxNesting) + ";")},
+		{"instanceof-chain", method("boolean b = s" + strings.Repeat(" instanceof T == b", parser.MaxNesting) + ";")},
+		// The shapes that used to kill the process: 3 MB bodies of nested
+		// parentheses, of a flat sum, of a flat difference and of a flat
+		// subscript chain.
 		{"3MB-parens", method("int x = " + nested(1_500_000, "(", "1", ")") + ";")},
+		{"3MB-sum-chain", method("int x = 1" + strings.Repeat("+1", 1_500_000) + ";")},
+		{"3MB-difference-chain", method("int x = 1" + strings.Repeat("-1", 1_500_000) + ";")},
+		{"3MB-subscript-chain", method("int x = a" + strings.Repeat("[0]", 1_000_000) + ";")},
 	}
 	for _, c := range deep {
 		_, err := parser.Parse(c.src)

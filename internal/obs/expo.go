@@ -341,10 +341,3 @@ func StartServer(addr string) (*http.Server, <-chan error) {
 	}()
 	return srv, errc
 }
-
-// Serve is StartServer without the shutdown handle, for fire-and-forget
-// callers that live exactly as long as the process.
-func Serve(addr string) <-chan error {
-	_, errc := StartServer(addr)
-	return errc
-}

@@ -7,8 +7,6 @@ package obs
 // buckets give real cluster-wide percentiles; mismatched bounds degrade to
 // count/sum only, never a wrong quantile).
 
-import "sort"
-
 // MergeSnapshots folds per-process snapshots into one rollup. Counter and
 // gauge families sum across parts (summing is exact for counters; for gauges
 // it is the fleet total, which is what occupancy/inflight gauges mean).
@@ -108,16 +106,5 @@ func MergeSLOStats(parts []SLOStats) SLOStats {
 		out.P50MS = wp50 / float64(out.Requests)
 		out.P99MS = wp99 / float64(out.Requests)
 	}
-	return out
-}
-
-// SortedNames returns the sorted keys of a string-keyed map — exposition
-// helpers for the federated payloads.
-func SortedNames[T any](m map[string]T) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

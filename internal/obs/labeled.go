@@ -8,8 +8,8 @@ package obs
 //
 //   - the label KEYS are fixed when the vec is created — callers cannot
 //     invent dimensions at observation time;
-//   - the number of live label-value SETS per vec is capped (DefaultLabelCap,
-//     adjustable per vec with SetLimit). Once the cap is hit, observations
+//   - the number of live label-value SETS per vec is capped at
+//     DefaultLabelCap. Once the cap is hit, observations
 //     for new label sets are dropped and counted in
 //     semfeed_labels_dropped_total, never silently;
 //   - label values are expected to be low-cardinality identifiers
@@ -47,7 +47,6 @@ var LabelsDroppedTotal = NewCounter("semfeed_labels_dropped_total",
 type labelVec struct {
 	name, help string
 	keys       []string
-	limit      int64 // atomic via mu; plain int is fine under mu
 	mu         sync.RWMutex
 	children   map[string]int // joined label values -> index into order
 	order      []*labelChild
@@ -80,7 +79,6 @@ func newLabelVec(name, help string, keys []string) *labelVec {
 	}
 	return &labelVec{
 		name: name, help: help, keys: keys,
-		limit:    DefaultLabelCap,
 		children: map[string]int{},
 	}
 }
@@ -114,7 +112,7 @@ func (v *labelVec) child(values []string, histBuckets int) *labelChild {
 	if idx, ok = v.children[key]; ok {
 		return v.order[idx]
 	}
-	if int64(len(v.order)) >= v.limit {
+	if len(v.order) >= DefaultLabelCap {
 		LabelsDroppedTotal.Add(1)
 		return nil
 	}
@@ -126,16 +124,6 @@ func (v *labelVec) child(values []string, histBuckets int) *labelChild {
 	v.children[key] = len(v.order)
 	v.order = append(v.order, c)
 	return c
-}
-
-// setLimit adjusts the cardinality cap (children already created survive).
-func (v *labelVec) setLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	v.mu.Lock()
-	v.limit = int64(n)
-	v.mu.Unlock()
 }
 
 // snapshotChildren returns the children sorted by label values for stable
@@ -248,9 +236,6 @@ func (c *LabeledCounter) Total() int64 { return c.total.Load() }
 // Name returns the registered family name.
 func (c *LabeledCounter) Name() string { return c.vec.name }
 
-// SetLimit adjusts this vec's label-cardinality cap.
-func (c *LabeledCounter) SetLimit(n int) { c.vec.setLimit(n) }
-
 // ---------------------------------------------------------------------------
 // LabeledGauge
 
@@ -307,9 +292,6 @@ func (g *LabeledGauge) Value(values ...string) int64 {
 
 // Name returns the registered family name.
 func (g *LabeledGauge) Name() string { return g.vec.name }
-
-// SetLimit adjusts this vec's label-cardinality cap.
-func (g *LabeledGauge) SetLimit(n int) { g.vec.setLimit(n) }
 
 // ---------------------------------------------------------------------------
 // LabeledHistogram
@@ -389,9 +371,6 @@ func (h *LabeledHistogram) Count(values ...string) int64 {
 
 // Name returns the registered family name.
 func (h *LabeledHistogram) Name() string { return h.vec.name }
-
-// SetLimit adjusts this vec's label-cardinality cap.
-func (h *LabeledHistogram) SetLimit(n int) { h.vec.setLimit(n) }
 
 // ExemplarRef is one bucket→trace link, as surfaced on /statusz.
 type ExemplarRef struct {

@@ -42,26 +42,29 @@ func TestLabeledCounterDisabledGate(t *testing.T) {
 func TestLabeledCardinalityCap(t *testing.T) {
 	r := &Registry{}
 	c := r.NewLabeledCounter("lab_cap_total", "help", "k")
-	c.SetLimit(3)
 	withCollection(t, func() {
 		before := LabelsDroppedTotal.Value()
-		for i := 0; i < 5; i++ {
+		n := DefaultLabelCap + 2
+		for i := 0; i < n; i++ {
 			c.Add(1, fmt.Sprintf("v%d", i))
 		}
 		// Existing children keep accepting after the cap is hit.
 		c.Add(1, "v0")
 		if got := LabelsDroppedTotal.Value() - before; got != 2 {
-			t.Errorf("labels dropped = %d, want 2 (v3, v4)", got)
+			t.Errorf("labels dropped = %d, want 2 (v%d, v%d)", got, n-2, n-1)
 		}
 		if got := c.Value("v0"); got != 2 {
 			t.Errorf("capped vec dropped an existing child's observation: %d", got)
 		}
-		if got := c.Value("v4"); got != 0 {
+		if got := c.Value(fmt.Sprintf("v%d", DefaultLabelCap-1)); got != 1 {
+			t.Errorf("last child under the cap = %d, want 1", got)
+		}
+		if got := c.Value(fmt.Sprintf("v%d", n-1)); got != 0 {
 			t.Errorf("over-cap child recorded: %d", got)
 		}
 		// The aggregate total stays truthful: every Add counted.
-		if got := c.Total(); got != 6 {
-			t.Errorf("total = %d, want 6 including capped observations", got)
+		if got := c.Total(); got != int64(n+1) {
+			t.Errorf("total = %d, want %d including capped observations", got, n+1)
 		}
 	})
 }

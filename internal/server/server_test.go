@@ -133,29 +133,37 @@ func TestGradeErrors(t *testing.T) {
 	}
 }
 
-// TestDeepNestingRejected pins the hostile-nesting fix: a 3 MB submission of
-// nested parentheses (inside the body limit) used to overflow the parser's
-// stack and kill the process. It must come back as an ordinary 422, and the
-// server must go on grading.
+// TestDeepNestingRejected pins the hostile-nesting fix: 3 MB submissions
+// (inside the body limit) of nested parentheses, or of flat operator and
+// subscript chains the parser folds into equally deep ASTs, used to overflow
+// the stack of the parser or of a recursive walker after it and kill the
+// process. Each must come back as an ordinary 422, and the server must go on
+// grading.
 func TestDeepNestingRejected(t *testing.T) {
 	srv := New(Config{Registry: testRegistry(t)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	const n = 1_500_000
-	src := "void f() { int x = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; }"
-	if len(src) != 3_000_023 {
-		t.Fatalf("source is %d bytes", len(src))
-	}
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/grade", GradeRequest{Assignment: "assignment1", Source: src})
-	if resp.StatusCode != http.StatusUnprocessableEntity || !bytes.Contains(body, []byte("nesting deeper than")) {
-		t.Fatalf("deep nesting: status %d: %.200s", resp.StatusCode, body)
-	}
-	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/grade", GradeRequest{
-		Assignment: "assignment1", Source: assignments.Get("assignment1").Reference(),
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("grade after the deep submission: status %d: %s", resp.StatusCode, body)
+	method := func(expr string) string { return "void f() { int x = " + expr + "; }" }
+	for _, c := range []struct{ name, src string }{
+		{"parens", method(strings.Repeat("(", 1_500_000) + "1" + strings.Repeat(")", 1_500_000))},
+		{"sum-chain", method("1" + strings.Repeat("+1", 1_500_000))},
+		{"difference-chain", method("1" + strings.Repeat("-1", 1_500_000))},
+		{"subscript-chain", method("a" + strings.Repeat("[0]", 1_000_000))},
+	} {
+		if len(c.src) < 3_000_000 {
+			t.Fatalf("%s: source is %d bytes", c.name, len(c.src))
+		}
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/grade", GradeRequest{Assignment: "assignment1", Source: c.src})
+		if resp.StatusCode != http.StatusUnprocessableEntity || !bytes.Contains(body, []byte("nesting deeper than")) {
+			t.Fatalf("%s: status %d: %.200s", c.name, resp.StatusCode, body)
+		}
+		resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/grade", GradeRequest{
+			Assignment: "assignment1", Source: assignments.Get("assignment1").Reference(),
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("grade after the %s submission: status %d: %s", c.name, resp.StatusCode, body)
+		}
 	}
 }
 

@@ -140,9 +140,6 @@ func (s *Spec) RenderWith(overrides map[string]int) string {
 	return s.RenderIdx(s.IndexWith(overrides))
 }
 
-// IsReferenceIndex reports whether index k selects option 0 everywhere.
-func (s *Spec) IsReferenceIndex(k int64) bool { return k == 0 }
-
 // Lines returns the number of non-blank lines in a rendered submission —
 // the L column of Table I averages this.
 func Lines(src string) int {

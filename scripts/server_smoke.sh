@@ -136,10 +136,21 @@ echo "== hostile nesting: 422, and the server keeps grading"
   head -c 1500000 /dev/zero | tr '\0' ')'
   printf '; }"}'; } > "${WORK}/deep.json"
 CODE="$(curl -s -o "${WORK}/deep.out" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
-  --data-binary @"${WORK}/deep.json" "http://${ADDR}/v1/grade")"
+  --data-binary @"${WORK}/deep.json" "http://${ADDR}/v1/grade" || true)"
 [ "${CODE}" = "422" ] || fail "deep nesting: status ${CODE}, want 422: $(head -c 300 "${WORK}/deep.out")"
 curl -sf -X POST -H 'Content-Type: application/json' --data @"${WORK}/req.json" \
   "http://${ADDR}/v1/grade" | grep -q '"report"' || fail "no grade after the deep submission"
+# 3 MB flat sum "1+1+...+1". The parser folds it in a loop, so it never
+# recursed deeply there, but the left-deep AST it built used to overflow the
+# stack of the canonical printer after it.
+{ printf '{"assignment": "assignment1", "source": "void f() { int x = 1'
+  head -c 1500000 /dev/zero | tr '\0' '+' | sed 's/+/+1/g'
+  printf '; }"}'; } > "${WORK}/flat.json"
+CODE="$(curl -s -o "${WORK}/flat.out" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+  --data-binary @"${WORK}/flat.json" "http://${ADDR}/v1/grade" || true)"
+[ "${CODE}" = "422" ] || fail "flat chain: status ${CODE}, want 422: $(head -c 300 "${WORK}/flat.out")"
+curl -sf -X POST -H 'Content-Type: application/json' --data @"${WORK}/req.json" \
+  "http://${ADDR}/v1/grade" | grep -q '"report"' || fail "no grade after the flat-chain submission"
 
 echo "== draining (SIGTERM)"
 kill -TERM "${SRV_PID}"
