@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-server table table-json metrics-smoke metrics-lint server-smoke cluster-smoke statusz-smoke javalint-smoke fuzz fmt vet examples clean
+.PHONY: all build test race bench bench-smoke bench-server bench-module table table-json metrics-smoke metrics-lint server-smoke cluster-smoke statusz-smoke javalint-smoke fuzz fmt vet examples clean
 
 all: build vet test
 
@@ -90,6 +90,12 @@ javalint-smoke:
 # path well ahead of cold grading.
 bench-server:
 	$(GO) run ./cmd/loadgen -clients 8 -subs 64 -rounds 3 -out BENCH_server.json > /dev/null
+
+# The benchmark harness is a nested module (semfeedbench/go.mod), so the
+# root `go build ./...` skips it; vet and test it on its own so an API break
+# it depends on fails here, not when the benchmark runs.
+bench-module:
+	cd semfeedbench && $(GO) vet ./... && $(GO) test ./...
 
 # Fuzzers: the parser front half, plus the two differential fuzzers that
 # hold the compiled interpreter to the test-only tree-walking oracle.

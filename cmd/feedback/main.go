@@ -12,7 +12,7 @@
 //	feedback -assignment assignment1 -metrics-addr :9090 submission.java
 //	feedback -assignment assignment1 -workers 4 sub1.java sub2.java sub3.java
 //	feedback -assignment assignment1 -json submission.java      # machine-readable
-//	feedback -assignment assignment1 -analyze=false submission.java
+//	feedback -assignment assignment1 -analyzers none submission.java
 //	feedback -assignment assignment1 -analyzers deadstore,noreturn submission.java
 package main
 
@@ -24,7 +24,6 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"strings"
 	"time"
 
 	"semfeed/internal/analysis"
@@ -44,8 +43,7 @@ func main() {
 		inlineHelpers = flag.Bool("inline", false, "inline simple helper methods before grading (future-work extension)")
 		normalizeElse = flag.Bool("normalize-else", false, "normalize else branches into negated conditions (future-work extension)")
 		jsonOut       = flag.Bool("json", false, "emit the report as JSON (for LMS integration)")
-		analyze       = flag.Bool("analyze", true, "run the static analyzers and include their diagnostics in the report")
-		analyzerList  = flag.String("analyzers", "", "comma-separated analyzer subset to run (default: all; implies -analyze)")
+		analyzerList  = flag.String("analyzers", "all", `static analyzers whose diagnostics the report includes: "all", "none", or a comma-separated name list`)
 		workers       = flag.Int("workers", 0, "batch pool size when grading multiple files (0 = GOMAXPROCS)")
 		traceFlag     = flag.Bool("trace", false, "record the grade as a span trace and print the span tree to stderr")
 		metricsDump   = flag.Bool("metrics-dump", false, "print the Prometheus metrics exposition to stderr on exit")
@@ -113,17 +111,10 @@ func main() {
 	// The analyzers default on: every built-in reference solution grades
 	// clean, so diagnostics on a submission are signal, not noise. KB
 	// definitions may still narrow or disable them per assignment.
-	var driver *analysis.Driver
-	switch {
-	case *analyzerList != "":
-		d, err := analysis.Default().Driver(strings.Split(*analyzerList, ","), nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "feedback: -analyzers: %v\n", err)
-			os.Exit(2)
-		}
-		driver = d
-	case *analyze:
-		driver = analysis.DefaultDriver()
+	driver, err := analysis.ParseDriver(*analyzerList)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "feedback: -analyzers: %v\n", err)
+		os.Exit(2)
 	}
 
 	grader := core.NewGrader(core.Options{

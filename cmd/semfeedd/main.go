@@ -79,7 +79,7 @@ func main() {
 		queue        = flag.Int("queue", 64, "admission queue depth before requests are shed with 429")
 		workers      = flag.Int("workers", 0, "max concurrent grading requests (0 = GOMAXPROCS)")
 		timeout      = flag.Duration("timeout", 10*time.Second, "per-request grading deadline")
-		cacheSize    = flag.Int("cache", 4096, "memory result-store capacity in entries (negative disables)")
+		cacheSize    = flag.Int("cache", server.DefaultCacheSize, "memory result-store capacity in entries (0 or negative disables)")
 		storeKind    = flag.String("store", "memory", `result store backend: "memory" or "disk"`)
 		storeDir     = flag.String("store-dir", "", "disk store directory (required with -store disk)")
 		storeMaxMB   = flag.Int64("store-max-mb", 256, "disk store size cap in MiB before LRU eviction")
@@ -87,10 +87,8 @@ func main() {
 		peers        = flag.String("peers", "", "comma-separated worker base URLs for ring-aware peer cache fill (requires -self)")
 		clusterList  = flag.String("cluster-workers", "", "comma-separated worker base URLs to route to (coordinator mode; required)")
 		probeEvery   = flag.Duration("probe-interval", 2*time.Second, "worker /readyz health-probe period (coordinator mode)")
-		vnodes       = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per worker on the routing ring")
 		proxyTimeout = flag.Duration("proxy-timeout", 15*time.Second, "one proxied grade attempt's deadline (coordinator mode; keep above the workers' -timeout)")
 		shardTimeout = flag.Duration("shard-timeout", 60*time.Second, "one batch shard's deadline (coordinator mode)")
-		scrapeTO     = flag.Duration("scrape-timeout", 3*time.Second, "one worker's statusz/metrics scrape or trace fetch deadline (coordinator mode)")
 		proxyRetries = flag.Int("proxy-retries", cluster.DefaultReplicas, "extra ring replicas a failed grade is retried on (coordinator mode; 0 disables rerouting)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
 		analyzers    = flag.String("analyzers", "all", `static analyzers run on every submission: "all", "none", or a comma-separated name list (assignment definitions may override per assignment)`)
@@ -99,10 +97,7 @@ func main() {
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		traceOn      = flag.Bool("trace", true, "record per-grade span traces (served at /v1/trace/{id})")
 		traceSlow    = flag.Duration("trace-slow", 100*time.Millisecond, "traces at least this slow are always retained")
-		traceSample  = flag.Int("trace-sample", 1, "keep 1 in N normal (fast, successful) traces; anomalous ones are always kept")
-		traceCap     = flag.Int("trace-cap", 256, "retained trace capacity")
-		traceExport  = flag.String("trace-export", "", "JSONL file persisting every completed trace across restarts (empty disables)")
-		traceExpMax  = flag.Int64("trace-export-max", 0, "rotate the -trace-export file beyond this many bytes (0 = 64 MiB)")
+		traceExport  = flag.String("trace-export", "", "JSONL file persisting every completed trace across restarts, rotated at 64 MiB (empty disables)")
 		version      = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
@@ -123,11 +118,9 @@ func main() {
 	if *traceOn {
 		obs.EnableTracing()
 		obs.SetSlowTraceThreshold(*traceSlow)
-		obs.SetTraceSampling(*traceSample)
-		obs.SetTraceCapacity(*traceCap)
 	}
 	if *traceExport != "" {
-		exp, err := obs.NewJSONLExporter(*traceExport, *traceExpMax)
+		exp, err := obs.NewJSONLExporter(*traceExport)
 		if err != nil {
 			logger.Error("open -trace-export failed", "path", *traceExport, "error", err)
 			os.Exit(1)
@@ -142,16 +135,12 @@ func main() {
 			logger.Error("bad -proxy-retries: must be >= 0 (0 disables rerouting)")
 			os.Exit(2)
 		}
-		runCoordinator(logger, coordinatorFlags{
-			addr:         *addr,
+		runCoordinator(logger, *addr, *drainTimeout, coordinatorFlags{
 			workers:      splitList(*clusterList),
 			probeEvery:   *probeEvery,
-			vnodes:       *vnodes,
 			proxyTimeout: *proxyTimeout,
 			shardTimeout: *shardTimeout,
-			scrapeTO:     *scrapeTO,
 			retries:      *proxyRetries,
-			drainTimeout: *drainTimeout,
 		})
 		return
 	case "standalone", "worker":
@@ -162,19 +151,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	var driver *analysis.Driver
-	switch *analyzers {
-	case "all":
-		driver = analysis.DefaultDriver()
-	case "none", "":
-		driver = nil
-	default:
-		d, err := analysis.Default().Driver(strings.Split(*analyzers, ","), nil)
-		if err != nil {
-			logger.Error("bad -analyzers", "error", err)
-			os.Exit(2)
-		}
-		driver = d
+	driver, err := analysis.ParseDriver(*analyzers)
+	if err != nil {
+		logger.Error("bad -analyzers", "error", err)
+		os.Exit(2)
 	}
 
 	reg := server.NewRegistry(*kbDir, func(format string, args ...any) {
@@ -198,30 +178,20 @@ func main() {
 		defer reg.Stop()
 	}
 
-	resultStore, err := buildStore(logger, reg, *storeKind, *storeDir, *storeMaxMB, *cacheSize)
-	if err != nil {
-		logger.Error("result store setup failed", "error", err)
-		os.Exit(2)
-	}
-	if peerList := splitList(*peers); len(peerList) > 0 && resultStore != nil {
-		if *self == "" {
-			logger.Error("-peers requires -self (this worker's own base URL)")
-			os.Exit(2)
-		}
-		resultStore = cluster.NewPeerFill(resultStore, *self, peerList, *vnodes, nil)
-		logger.Info("peer fill enabled", "self", *self, "peers", len(peerList))
-	}
-
-	srv := server.New(server.Config{
+	cfg := server.Config{
 		Registry:       reg,
 		GradeOptions:   core.Options{Analyzers: driver},
 		MaxConcurrent:  *workers,
 		QueueDepth:     *queue,
 		RequestTimeout: *timeout,
-		Store:          resultStore,
 		Logger:         logger,
 		EnablePprof:    *pprofOn,
-	})
+	}
+	if err := configureStore(&cfg, logger, *storeKind, *storeDir, *storeMaxMB, *cacheSize, *self, splitList(*peers)); err != nil {
+		logger.Error("result store setup failed", "error", err)
+		os.Exit(2)
+	}
+	srv := server.New(cfg)
 	errc, err := srv.Start(*addr)
 	if err != nil {
 		logger.Error("listen failed", "addr", *addr, "error", err)
@@ -236,14 +206,72 @@ func main() {
 		"pprof", *pprofOn,
 		"tracing", *traceOn,
 		"trace_export", *traceExport)
+	serveUntilSignal(logger, srv, errc, *drainTimeout)
+}
 
+// configureStore sets cfg's result store from the store flags. A memory
+// store is whatever server.MemoryStore makes of -cache, except that -cache 0
+// disables caching too (Config.CacheSize reads 0 as the default size). A
+// disk store is validated against the loaded registry on startup: entries
+// whose KB version no longer matches the live assignment are evicted before
+// serving begins, so a KB rolled forward while the process was down cannot
+// resurface stale feedback. With peers, the local store is wrapped in a
+// ring-aware peer fill; with caching off there is nothing to fill.
+func configureStore(cfg *server.Config, logger *slog.Logger, kind, dir string, maxMB int64, cacheSize int, self string, peers []string) error {
+	if cacheSize == 0 {
+		cacheSize = -1
+	}
+	cfg.CacheSize = cacheSize
+	switch kind {
+	case "memory":
+		cfg.Store = server.MemoryStore(cacheSize)
+	case "disk":
+		if dir == "" {
+			return fmt.Errorf(`-store disk requires -store-dir`)
+		}
+		d, err := store.NewDisk(dir, maxMB<<20)
+		if err != nil {
+			return err
+		}
+		evicted := d.Validate(func(assignment, kbVersion string) bool {
+			e := cfg.Registry.Get(assignment)
+			return e != nil && e.Version == kbVersion
+		})
+		logger.Info("disk store opened",
+			"dir", dir,
+			"entries", d.Len(),
+			"stale_evicted", evicted)
+		cfg.Store = d
+	default:
+		return fmt.Errorf(`bad -store %q: want "memory" or "disk"`, kind)
+	}
+	if len(peers) > 0 && cfg.Store != nil {
+		if self == "" {
+			return fmt.Errorf("-peers requires -self (this worker's own base URL)")
+		}
+		cfg.Store = cluster.NewPeerFill(cfg.Store, self, peers, nil)
+		logger.Info("peer fill enabled", "self", self, "peers", len(peers))
+	}
+	return nil
+}
+
+// drainer is a server that SIGTERM drains: the grading server or the
+// coordinator.
+type drainer interface {
+	Shutdown(ctx context.Context) error
+}
+
+// serveUntilSignal waits for SIGTERM/SIGINT or a listener failure. On a
+// signal it drains srv within drainTimeout and waits for the listener to
+// stop; a failed drain or listener exits the process with status 1.
+func serveUntilSignal(logger *slog.Logger, srv drainer, errc <-chan error, drainTimeout time.Duration) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case s := <-sig:
 		t0 := time.Now()
 		logger.Info("draining", "signal", s.String(), "drain_timeout", drainTimeout.String())
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			logger.Error("drain failed", "error", err)
@@ -259,70 +287,31 @@ func main() {
 	}
 }
 
-// buildStore constructs the grading server's result store. A disk store is
-// validated against the loaded registry on startup: entries whose KB version
-// no longer matches the live assignment are evicted before serving begins, so
-// a KB rolled forward while the process was down cannot resurface stale
-// feedback.
-func buildStore(logger *slog.Logger, reg *server.Registry, kind, dir string, maxMB int64, cacheSize int) (store.Store, error) {
-	switch kind {
-	case "memory":
-		if cacheSize <= 0 {
-			return nil, nil
-		}
-		return store.NewMemory(cacheSize), nil
-	case "disk":
-		if dir == "" {
-			return nil, fmt.Errorf(`-store disk requires -store-dir`)
-		}
-		d, err := store.NewDisk(dir, maxMB<<20)
-		if err != nil {
-			return nil, err
-		}
-		evicted := d.Validate(func(assignment, kbVersion string) bool {
-			e := reg.Get(assignment)
-			return e != nil && e.Version == kbVersion
-		})
-		logger.Info("disk store opened",
-			"dir", dir,
-			"entries", d.Len(),
-			"stale_evicted", evicted)
-		return d, nil
-	default:
-		return nil, fmt.Errorf(`bad -store %q: want "memory" or "disk"`, kind)
-	}
-}
-
+// coordinatorFlags are the coordinator-only flags.
 type coordinatorFlags struct {
-	addr         string
 	workers      []string
 	probeEvery   time.Duration
-	vnodes       int
 	proxyTimeout time.Duration
 	shardTimeout time.Duration
-	scrapeTO     time.Duration
 	retries      int
-	drainTimeout time.Duration
 }
 
-func runCoordinator(logger *slog.Logger, cf coordinatorFlags) {
+func runCoordinator(logger *slog.Logger, addr string, drainTimeout time.Duration, cf coordinatorFlags) {
 	if len(cf.workers) == 0 {
 		logger.Error("-mode coordinator requires -cluster-workers")
 		os.Exit(2)
 	}
 	coord := cluster.New(cluster.Config{
 		Workers:       cf.workers,
-		VNodes:        cf.vnodes,
 		ProbeInterval: cf.probeEvery,
 		ProxyTimeout:  cf.proxyTimeout,
 		ShardTimeout:  cf.shardTimeout,
-		ScrapeTimeout: cf.scrapeTO,
 		Replicas:      cf.retries,
 		Logger:        logger,
 	})
-	errc, err := coord.Start(cf.addr)
+	errc, err := coord.Start(addr)
 	if err != nil {
-		logger.Error("listen failed", "addr", cf.addr, "error", err)
+		logger.Error("listen failed", "addr", addr, "error", err)
 		os.Exit(1)
 	}
 	logger.Info("serving",
@@ -330,27 +319,7 @@ func runCoordinator(logger *slog.Logger, cf coordinatorFlags) {
 		"addr", coord.Addr(),
 		"workers", len(cf.workers),
 		"revision", obs.GetBuildInfo().Revision)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case s := <-sig:
-		t0 := time.Now()
-		logger.Info("draining", "signal", s.String(), "drain_timeout", cf.drainTimeout.String())
-		ctx, cancel := context.WithTimeout(context.Background(), cf.drainTimeout)
-		defer cancel()
-		if err := coord.Shutdown(ctx); err != nil {
-			logger.Error("drain failed", "error", err)
-			os.Exit(1)
-		}
-		<-errc
-		logger.Info("drained cleanly", "duration_ms", float64(time.Since(t0).Microseconds())/1000)
-	case err := <-errc:
-		if err != nil {
-			logger.Error("serve failed", "error", err)
-			os.Exit(1)
-		}
-	}
+	serveUntilSignal(logger, coord, errc, drainTimeout)
 }
 
 // splitList parses a comma-separated flag value, dropping empty elements.

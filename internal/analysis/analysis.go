@@ -15,6 +15,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"semfeed/internal/obs"
@@ -268,6 +269,20 @@ func DefaultDriver() *Driver {
 		panic(err) // unreachable: nil enable/disable cannot name unknowns
 	}
 	return d
+}
+
+// ParseDriver resolves an analyzer selection, the -analyzers value of the
+// feedback and semfeedd commands: "all" runs every built-in analyzer, "none"
+// (or "") runs none and yields a nil driver, and a comma-separated list runs
+// exactly the named analyzers.
+func ParseDriver(sel string) (*Driver, error) {
+	switch sel {
+	case "all":
+		return DefaultDriver(), nil
+	case "none", "":
+		return nil, nil
+	}
+	return defaultRegistry.Driver(strings.Split(sel, ","), nil)
 }
 
 // ---------------------------------------------------------------------------

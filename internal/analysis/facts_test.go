@@ -134,6 +134,22 @@ func TestRegistryEnableDisable(t *testing.T) {
 	if _, err := reg.Driver(nil, []string{"nope"}); err == nil {
 		t.Error("unknown disable name should error")
 	}
+
+	// ParseDriver is the -analyzers flag of feedback and semfeedd.
+	if d, err := ParseDriver("all"); err != nil || len(d.Names()) != 6 {
+		t.Errorf(`ParseDriver("all") = %v, %v; want all 6 analyzers`, d, err)
+	}
+	for _, sel := range []string{"none", ""} {
+		if d, err := ParseDriver(sel); d != nil || err != nil {
+			t.Errorf("ParseDriver(%q) = %v, %v; want a nil driver", sel, d, err)
+		}
+	}
+	if d, err := ParseDriver("deadstore,unreachable"); err != nil || len(d.Names()) != 2 {
+		t.Errorf("ParseDriver(list) = %v, %v; want 2 analyzers", d, err)
+	}
+	if _, err := ParseDriver("nope"); err == nil {
+		t.Error("ParseDriver of an unknown name should error")
+	}
 }
 
 func TestDriverRunSortedAndCounted(t *testing.T) {

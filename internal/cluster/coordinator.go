@@ -22,14 +22,21 @@ import (
 // request is retried on when Config.Replicas is negative ("use default").
 const DefaultReplicas = 2
 
+const (
+	// scrapeTimeout bounds one worker's statusz/metrics scrape and one
+	// worker's trace fetch during cross-process assembly.
+	scrapeTimeout = 3 * time.Second
+	// maxBodyBytes caps request bodies and batch shard responses: 16 MiB,
+	// because batches pass through whole.
+	maxBodyBytes = 16 << 20
+)
+
 // Config tunes the coordinator. The zero value (plus Workers) applies the
 // defaults noted on each field — except Replicas, where zero is a meaningful
 // setting (retries disabled) and negative selects the default.
 type Config struct {
 	// Workers are the worker base URLs (http://host:port); required.
 	Workers []string
-	// VNodes is the virtual-node count per worker (default DefaultVNodes).
-	VNodes int
 	// ProbeInterval is the /readyz health-probe period (default 2s).
 	ProbeInterval time.Duration
 	// ProxyTimeout bounds one proxied /v1/grade attempt (default 15s; keep
@@ -38,16 +45,10 @@ type Config struct {
 	ProxyTimeout time.Duration
 	// ShardTimeout bounds one per-worker batch shard (default 60s).
 	ShardTimeout time.Duration
-	// ScrapeTimeout bounds one worker's statusz/metrics scrape and one
-	// worker's trace fetch during cross-process assembly (default 3s).
-	ScrapeTimeout time.Duration
 	// Replicas is how many additional ring members a failed idempotent
 	// request is retried on. Zero disables replica retries; negative means
 	// "use the default" (DefaultReplicas).
 	Replicas int
-	// MaxBodyBytes caps request bodies (default 16 MiB — batches pass
-	// through whole).
-	MaxBodyBytes int64
 	// Client is the proxy HTTP client; nil builds a pooled default.
 	Client *http.Client
 	// Logger receives structured event logs. Nil falls back to the
@@ -56,9 +57,6 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
@@ -68,14 +66,8 @@ func (c *Config) defaults() {
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = 60 * time.Second
 	}
-	if c.ScrapeTimeout <= 0 {
-		c.ScrapeTimeout = 3 * time.Second
-	}
 	if c.Replicas < 0 {
 		c.Replicas = DefaultReplicas
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Transport: &http.Transport{
@@ -112,7 +104,7 @@ func New(cfg Config) *Coordinator {
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		members: NewMembership(cfg.Workers, cfg.VNodes, cfg.Client),
+		members: NewMembership(cfg.Workers, cfg.Client),
 		fed:     newFederator(),
 	}
 	c.mux = http.NewServeMux()
@@ -238,7 +230,7 @@ func (c *Coordinator) handleGrade(w http.ResponseWriter, req *http.Request) {
 		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, c.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
@@ -401,7 +393,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, req *http.Request) {
 		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, c.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
@@ -579,7 +571,7 @@ func (c *Coordinator) runShard(ctx context.Context, worker string, breq *server.
 		return out
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
 		out.err = err
 		return out
@@ -686,7 +678,7 @@ func (c *Coordinator) assembleTrace(ctx context.Context, id string) *obs.Assembl
 	parts := make([]obs.RemoteTrace, 1+len(workers))
 	parts[0] = obs.RemoteTrace{Source: "coordinator", Trace: obs.TraceByID(id)}
 
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.ScrapeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 	defer cancel()
 	var wg sync.WaitGroup
 	for i, worker := range workers {

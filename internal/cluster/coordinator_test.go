@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,6 +170,47 @@ func TestCoordinatorForwardsWorkerRetryAfter(t *testing.T) {
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "7" {
 		t.Fatalf("Retry-After = %q, want the worker's own \"7\"", ra)
+	}
+}
+
+// TestCoordinatorBodyLimit pins the coordinator's 16 MiB request-body cap: a
+// grade body of exactly 16 MiB is forwarded to the worker, and one byte more
+// is refused with 400 without reaching it.
+func TestCoordinatorBodyLimit(t *testing.T) {
+	var forwarded atomic.Int64
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			fmt.Fprintln(w, "ready")
+			return
+		}
+		n, _ := io.Copy(io.Discard, r.Body)
+		forwarded.Store(n)
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{}`)
+	}))
+	defer worker.Close()
+	_, base := spawnCoordinator(t, worker.URL)
+
+	post := func(size int) int {
+		t.Helper()
+		prefix := `{"assignment":"assignment1","source":"`
+		suffix := `"}`
+		body := prefix + strings.Repeat("x", size-len(prefix)-len(suffix)) + suffix
+		resp, err := http.Post(base+"/v1/grade", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const limit = 16 << 20
+	if code := post(limit); code != http.StatusOK || forwarded.Load() != limit {
+		t.Fatalf("16 MiB body: status %d, worker read %d bytes; want 200 and %d", code, forwarded.Load(), limit)
+	}
+	forwarded.Store(0)
+	if code := post(limit + 1); code != http.StatusBadRequest || forwarded.Load() != 0 {
+		t.Fatalf("16 MiB + 1 body: status %d, worker read %d bytes; want 400 and nothing forwarded", code, forwarded.Load())
 	}
 }
 
@@ -390,7 +434,7 @@ func TestPeerFillServesOwnedKeys(t *testing.T) {
 	// store holds the result, then peer-fill from the other node's view.
 	src := a.Reference()
 	key := store.NewKey("assignment1", "builtin", src)
-	owner := NewRing([]string{trimSlash(base1), trimSlash(base2)}, DefaultVNodes).Lookup(RouteKey(key.Assignment, key.SourceHash))
+	owner := NewRing([]string{trimSlash(base1), trimSlash(base2)}).Lookup(RouteKey(key.Assignment, key.SourceHash))
 	other := trimSlash(base2)
 	if owner == other {
 		other = trimSlash(base1)
@@ -406,7 +450,7 @@ func TestPeerFillServesOwnedKeys(t *testing.T) {
 	}
 
 	local := store.NewMemory(16)
-	pf := NewPeerFill(local, other, []string{base1, base2}, DefaultVNodes, nil)
+	pf := NewPeerFill(local, other, []string{base1, base2}, nil)
 	got, ok := pf.Get(key)
 	if !ok || len(got) == 0 {
 		t.Fatal("peer fill did not serve the owner's cached result")

@@ -78,7 +78,7 @@ func TestMembershipFlightRecorder(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	m := NewMembership([]string{srv.URL, "http://127.0.0.1:1"}, 16, srv.Client())
+	m := NewMembership([]string{srv.URL, "http://127.0.0.1:1"}, srv.Client())
 	gen0 := m.RingGeneration()
 	if gen0 == 0 {
 		t.Fatal("genesis rebuild did not bump the ring generation")
@@ -128,7 +128,7 @@ func TestMembershipFlightRecorder(t *testing.T) {
 // worker failing probes records probe_fail only while it still counted as
 // healthy, so a long-dead worker does not evict interesting events.
 func TestMembershipProbeFailRecordedOncePerOutage(t *testing.T) {
-	m := NewMembership([]string{"http://127.0.0.1:1"}, 16, &http.Client{Timeout: 200 * time.Millisecond})
+	m := NewMembership([]string{"http://127.0.0.1:1"}, &http.Client{Timeout: 200 * time.Millisecond})
 	for i := 0; i < 5; i++ {
 		m.probeAll()
 	}
@@ -145,7 +145,7 @@ func TestEventLogConcurrent(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	m := NewMembership([]string{srv.URL, "http://127.0.0.1:1"}, 16, srv.Client())
+	m := NewMembership([]string{srv.URL, "http://127.0.0.1:1"}, srv.Client())
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(3)
@@ -187,7 +187,7 @@ func TestEventLogConcurrent(t *testing.T) {
 // and balance within a reasonable spread at the default vnode count.
 func TestRingShares(t *testing.T) {
 	members := []string{"http://w1", "http://w2", "http://w3"}
-	shares := NewRing(members, 0).Shares()
+	shares := NewRing(members).Shares()
 	var sum float64
 	for _, m := range members {
 		s := shares[m]
@@ -199,10 +199,10 @@ func TestRingShares(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("shares sum to %g, want 1", sum)
 	}
-	if one := NewRing([]string{"http://solo"}, 1).Shares(); one["http://solo"] != 1 {
+	if one := NewRing([]string{"http://solo"}).Shares(); one["http://solo"] != 1 {
 		t.Fatalf("single-member share = %g, want 1", one["http://solo"])
 	}
-	if empty := NewRing(nil, 0).Shares(); len(empty) != 0 {
+	if empty := NewRing(nil).Shares(); len(empty) != 0 {
 		t.Fatalf("empty ring shares = %v, want empty", empty)
 	}
 }

@@ -108,7 +108,7 @@ func (f *federator) copyLocked() map[string]workerScrape {
 // scrapeOne fetches one worker's /statusz and /metrics.json and folds the
 // result into the cache — last-good retained on failure.
 func (c *Coordinator) scrapeOne(ctx context.Context, worker string) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.ScrapeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 	defer cancel()
 	var sz obs.Statusz
 	var snap obs.Snapshot

@@ -23,7 +23,6 @@ const probeFailThreshold = 2
 // fails in transport — the latter removes a dead worker from the ring
 // immediately (fail-open rerouting) instead of waiting out a probe cycle.
 type Membership struct {
-	vnodes int
 	client *http.Client
 
 	ring atomic.Pointer[Ring]
@@ -43,11 +42,11 @@ type Membership struct {
 // start healthy — the first probe cycle corrects that within an interval,
 // and a transport failure corrects it on first contact. client may be nil
 // for a short-timeout default.
-func NewMembership(workers []string, vnodes int, client *http.Client) *Membership {
+func NewMembership(workers []string, client *http.Client) *Membership {
 	if client == nil {
 		client = &http.Client{Timeout: 2 * time.Second}
 	}
-	m := &Membership{vnodes: vnodes, client: client, fails: make(map[string]int), events: newEventLog(0)}
+	m := &Membership{client: client, fails: make(map[string]int), events: newEventLog(0)}
 	for _, w := range workers {
 		if w != "" {
 			m.workers = append(m.workers, trimSlash(w))
@@ -135,7 +134,7 @@ func (m *Membership) rebuild() {
 		}
 	}
 	cur := m.ring.Load()
-	next := NewRing(healthy, m.vnodes)
+	next := NewRing(healthy)
 	if cur != nil && sameMembers(cur.Members(), next.Members()) {
 		return
 	}

@@ -25,7 +25,7 @@ type peerRing struct {
 // NewPeerFill wraps local with a ring-aware HTTP fill path over peers.
 // self must appear in peers (it identifies which keys are locally owned);
 // addresses are base URLs. client may be nil for a short-timeout default.
-func NewPeerFill(local store.Store, self string, peers []string, vnodes int, client *http.Client) store.Store {
+func NewPeerFill(local store.Store, self string, peers []string, client *http.Client) store.Store {
 	if client == nil {
 		client = &http.Client{Timeout: 2 * time.Second}
 	}
@@ -41,7 +41,7 @@ func NewPeerFill(local store.Store, self string, peers []string, vnodes int, cli
 			p.peers[addr] = store.NewPeer(addr, client)
 		}
 	}
-	p.ring.Store(NewRing(members, vnodes))
+	p.ring.Store(NewRing(members))
 	return &store.Tiered{Local: local, Fallback: p}
 }
 

@@ -14,9 +14,9 @@ import (
 	"sort"
 )
 
-// Ring is an immutable consistent-hash ring: each member contributes vnodes
-// points on a 64-bit circle, and a key routes to the member owning the first
-// point clockwise of the key's hash. Immutability is the concurrency story —
+// Ring is an immutable consistent-hash ring: each member contributes
+// DefaultVNodes points on a 64-bit circle, and a key routes to the member
+// owning the first point clockwise of the key's hash. Immutability is the concurrency story —
 // membership changes build a new Ring and publish it through an
 // atomic.Pointer swap, so routing never takes a lock.
 type Ring struct {
@@ -31,16 +31,15 @@ type ringPoint struct {
 
 // DefaultVNodes is the virtual-node count per member: high enough that a
 // 4-worker ring balances within a few percent, low enough that building a
-// ring is microseconds.
+// ring is microseconds. It is a constant, not a setting, because every ring
+// over the same members must agree on ownership: the coordinator's routing
+// ring and each worker's peer-fill ring alike.
 const DefaultVNodes = 160
 
 // NewRing builds a ring over members (deduplicated, order-insensitive) with
-// the given virtual-node count per member (<= 0 uses DefaultVNodes). An
-// empty member list yields a ring whose Lookup returns "".
-func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// DefaultVNodes virtual nodes per member. An empty member list yields a ring
+// whose Lookup returns "".
+func NewRing(members []string) *Ring {
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
 	for _, m := range members {
@@ -50,9 +49,9 @@ func NewRing(members []string, vnodes int) *Ring {
 		}
 	}
 	sort.Strings(uniq)
-	r := &Ring{members: uniq, points: make([]ringPoint, 0, len(uniq)*vnodes)}
+	r := &Ring{members: uniq, points: make([]ringPoint, 0, len(uniq)*DefaultVNodes)}
 	for i, m := range uniq {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: hashString(fmt.Sprintf("%s#%d", m, v)), member: int32(i)})
 		}
 	}
@@ -131,7 +130,7 @@ func (r *Ring) Shares() map[string]float64 {
 	if len(r.members) == 1 {
 		return map[string]float64{r.members[0]: 1}
 	}
-	const circle = float64(1 << 63) * 2 // 2^64 as a float
+	const circle = float64(1<<63) * 2 // 2^64 as a float
 	arcs := make(map[string]float64, len(r.members))
 	// points are sorted; point i owns the arc (points[i-1], points[i]], with
 	// the first point owning the wrap-around arc past the last. Unsigned

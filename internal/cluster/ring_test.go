@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"semfeed/internal/store"
 )
 
 func workerURLs(n int) []string {
@@ -29,7 +31,7 @@ func sampleKeys(n int) []string {
 // fair share.
 func TestRingBalance(t *testing.T) {
 	const nWorkers, nKeys = 4, 20000
-	ring := NewRing(workerURLs(nWorkers), DefaultVNodes)
+	ring := NewRing(workerURLs(nWorkers))
 	counts := map[string]int{}
 	for _, k := range sampleKeys(nKeys) {
 		counts[ring.Lookup(k)]++
@@ -51,7 +53,7 @@ func TestRingRemapBound(t *testing.T) {
 	const nWorkers, nKeys = 4, 20000
 	workers := workerURLs(nWorkers)
 	keys := sampleKeys(nKeys)
-	full := NewRing(workers, DefaultVNodes)
+	full := NewRing(workers)
 
 	before := make([]string, nKeys)
 	for i, k := range keys {
@@ -62,7 +64,7 @@ func TestRingRemapBound(t *testing.T) {
 	// did not own keeps its owner (a structural property of the ring, not a
 	// statistical one).
 	removed := workers[1]
-	smaller := NewRing(append(append([]string{}, workers[:1]...), workers[2:]...), DefaultVNodes)
+	smaller := NewRing(append(append([]string{}, workers[:1]...), workers[2:]...))
 	movedOnRemove := 0
 	for i, k := range keys {
 		after := smaller.Lookup(k)
@@ -80,7 +82,7 @@ func TestRingRemapBound(t *testing.T) {
 
 	// Adding one worker to N must move at most ~K/(N+1) keys (its fair
 	// share, with 35% slack for hash variance).
-	bigger := NewRing(append(append([]string{}, workers...), "http://10.0.0.99:8080"), DefaultVNodes)
+	bigger := NewRing(append(append([]string{}, workers...), "http://10.0.0.99:8080"))
 	movedOnAdd := 0
 	for i, k := range keys {
 		if bigger.Lookup(k) != before[i] {
@@ -97,7 +99,7 @@ func TestRingRemapBound(t *testing.T) {
 }
 
 func TestRingLookupN(t *testing.T) {
-	ring := NewRing(workerURLs(3), 64)
+	ring := NewRing(workerURLs(3))
 	key := RouteKey("assignment1", "abc")
 	replicas := ring.LookupN(key, 5) // more than members: capped, distinct
 	if len(replicas) != 3 {
@@ -113,7 +115,7 @@ func TestRingLookupN(t *testing.T) {
 	if replicas[0] != ring.Lookup(key) {
 		t.Fatal("LookupN[0] disagrees with Lookup")
 	}
-	if got := NewRing(nil, 64).Lookup(key); got != "" {
+	if got := NewRing(nil).Lookup(key); got != "" {
 		t.Fatalf("empty ring Lookup = %q, want \"\"", got)
 	}
 }
@@ -123,7 +125,7 @@ func TestRingLookupN(t *testing.T) {
 // atomic-snapshot publication.
 func TestMembershipConcurrentSwapDuringRouting(t *testing.T) {
 	workers := workerURLs(4)
-	m := NewMembership(workers, 64, nil)
+	m := NewMembership(workers, nil)
 	keys := sampleKeys(512)
 
 	var stop atomic.Bool
@@ -165,7 +167,7 @@ func TestMembershipConcurrentSwapDuringRouting(t *testing.T) {
 
 func TestMembershipReportFailureAndRecovery(t *testing.T) {
 	workers := workerURLs(3)
-	m := NewMembership(workers, 64, nil)
+	m := NewMembership(workers, nil)
 	if m.Ring().Size() != 3 {
 		t.Fatalf("initial ring size %d, want 3", m.Ring().Size())
 	}
@@ -185,5 +187,26 @@ func TestMembershipReportFailureAndRecovery(t *testing.T) {
 	m.rebuild()
 	if m.Ring().Size() != 3 {
 		t.Fatalf("ring size after recovery %d, want 3", m.Ring().Size())
+	}
+}
+
+// TestPeerFillAgreesWithCoordinatorRing pins that a worker's peer-fill ring
+// and the coordinator's routing ring name the same owner for every key: both
+// are built with DefaultVNodes, so a worker asks exactly the peer the
+// coordinator routed the key to. Trailing slashes on the peer list must not
+// change ownership either.
+func TestPeerFillAgreesWithCoordinatorRing(t *testing.T) {
+	workers := workerURLs(4)
+	coord := NewMembership(workers, nil).Ring()
+	peers := make([]string, len(workers))
+	for i, w := range workers {
+		peers[i] = w + "/"
+	}
+	pf := NewPeerFill(store.NewMemory(1), peers[0], peers, nil).(*store.Tiered)
+	fill := pf.Fallback.(*peerRing).ring.Load()
+	for _, k := range sampleKeys(2000) {
+		if got, want := fill.Lookup(k), coord.Lookup(k); got != want {
+			t.Fatalf("key %q: peer fill asks %s, coordinator routes to %s", k, got, want)
+		}
 	}
 }

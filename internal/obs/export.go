@@ -103,30 +103,26 @@ func (r *RingExporter) Traces() []*TraceData {
 // ---------------------------------------------------------------------------
 // JSONLExporter
 
-// defaultExportMaxBytes rotates the JSONL file at 64 MiB: roughly 20k traces
-// at the typical 2–3 KiB per grade trace, a few days of moderate load.
-const defaultExportMaxBytes = 64 << 20
+// exportMaxBytes rotates the JSONL file at 64 MiB: roughly 20k traces at the
+// typical 2–3 KiB per grade trace, a few days of moderate load.
+const exportMaxBytes = 64 << 20
 
 // JSONLExporter persists traces as one JSON document per line, rotating
-// path -> path+".1" when the file would exceed maxBytes (one previous
+// path -> path+".1" when the file would exceed 64 MiB (one previous
 // generation is kept). Failed writes fall back to an in-memory ring and are
 // counted in TraceExportErrorsTotal.
 type JSONLExporter struct {
 	mu       sync.Mutex
 	path     string
-	maxBytes int64
+	maxBytes int64 // exportMaxBytes; tests lower it to force rotation
 	f        *os.File
 	size     int64
 	fallback *RingExporter
 }
 
-// NewJSONLExporter opens (appending) the JSONL trace file at path. maxBytes
-// <= 0 applies the 64 MiB default.
-func NewJSONLExporter(path string, maxBytes int64) (*JSONLExporter, error) {
-	if maxBytes <= 0 {
-		maxBytes = defaultExportMaxBytes
-	}
-	e := &JSONLExporter{path: path, maxBytes: maxBytes, fallback: NewRingExporter(64)}
+// NewJSONLExporter opens (appending) the JSONL trace file at path.
+func NewJSONLExporter(path string) (*JSONLExporter, error) {
+	e := &JSONLExporter{path: path, maxBytes: exportMaxBytes, fallback: NewRingExporter(64)}
 	if err := e.open(); err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func TestRingExporterEvictsOldest(t *testing.T) {
 
 func TestExportOnSpanEnd(t *testing.T) {
 	withCollection(t, func() {
-		withStoreDefaults(t, 16, 1, time.Hour)
+		withStoreDefaults(t, 16, time.Hour)
 		ring := NewRingExporter(8)
 		withExporter(t, ring)
 		before := TraceExportsTotal.Value()
@@ -62,7 +62,7 @@ func TestJSONLExporterPersists(t *testing.T) {
 	// are readable after Close, and a second instance appends to the same file
 	// (a process restart must not erase history).
 	path := filepath.Join(t.TempDir(), "traces.jsonl")
-	exp, err := NewJSONLExporter(path, 0)
+	exp, err := NewJSONLExporter(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestJSONLExporterPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exp2, err := NewJSONLExporter(path, 0)
+	exp2, err := NewJSONLExporter(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,15 @@ func TestJSONLExporterPersists(t *testing.T) {
 func TestJSONLExporterRotation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "traces.jsonl")
-	// A cap small enough that the second trace forces rotation.
-	exp, err := NewJSONLExporter(path, 100)
+	exp, err := NewJSONLExporter(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer exp.Close()
+	if exp.maxBytes != 64<<20 {
+		t.Fatalf("rotation threshold = %d bytes, want 64 MiB", exp.maxBytes)
+	}
+	exp.maxBytes = 100 // small enough that the second trace forces rotation
 	exp.ExportTrace(&TraceData{ID: "old", Name: "grade/rotate-me-with-some-padding-to-fill-bytes"})
 	exp.ExportTrace(&TraceData{ID: "new", Name: "grade/rotate-me-with-some-padding-to-fill-bytes"})
 
@@ -121,7 +124,7 @@ func TestJSONLExporterFallbackOnWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "traces.jsonl")
-	exp, err := NewJSONLExporter(path, 0)
+	exp, err := NewJSONLExporter(path)
 	if err != nil {
 		t.Fatal(err)
 	}

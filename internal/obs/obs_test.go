@@ -241,8 +241,8 @@ func TestTraceSpanCap(t *testing.T) {
 func TestStoreCapacityBound(t *testing.T) {
 	withCollection(t, func() {
 		ResetTraces()
-		prev := SetTraceCapacity(16)
-		defer SetTraceCapacity(prev)
+		prev := setTraceCapacity(16)
+		defer setTraceCapacity(prev)
 		for i := 0; i < 16+5; i++ {
 			StartTrace("ring").End()
 		}

@@ -66,7 +66,7 @@ var (
 	GradeSeconds           = NewHistogram("semfeed_grade_seconds", "End-to-end grade latency per submission.", nil)
 	GradeScore             = NewHistogram("semfeed_grade_score", "Λ score distribution of produced reports.", ScoreBuckets)
 	TraceSpansDroppedTotal = NewCounter("semfeed_trace_spans_dropped_total", "Spans dropped because a trace hit its span cap.")
-	TracesDroppedTotal     = NewCounter("semfeed_traces_dropped_total", "Completed traces not retained by the trace store (sampled out or evicted).")
+	TracesDroppedTotal     = NewCounter("semfeed_traces_dropped_total", "Completed traces evicted from the trace store.")
 
 	// Batch grading engine (BatchGrader.GradeAll).
 	BatchesTotal          = NewCounter("semfeed_batch_total", "Batch grading runs started.")

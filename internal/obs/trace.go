@@ -49,7 +49,7 @@ type TraceData struct {
 	// ("error", "timeout", "canceled", "shed") that forces tail retention.
 	Outcome string `json:"outcome,omitempty"`
 	// Retained records why the store kept the trace: "tail" (anomalous or
-	// slow — always kept) or "sampled" (a normal trace that passed sampling).
+	// slow — evicted last) or "sampled" (a normal trace — evicted first).
 	Retained string `json:"retained,omitempty"`
 	// TraceParent is the W3C traceparent the request arrived with, when the
 	// caller propagated one — the join key across process boundaries.
@@ -279,23 +279,22 @@ func (t *TraceData) Tree() string {
 //
 // The store replaces the earlier blind ring recorder, which overwrote
 // completed traces with no accounting and no retrieval beyond "the latest".
-// Retention is tail-based, the policy production tracing systems converge
+// Retention is tail-biased, the policy production tracing systems converge
 // on: anomalous traces (error/timeout/canceled/shed outcome) and slow traces
-// (duration >= slow threshold) are always kept; normal traces are sampled
-// 1-in-N. Capacity is bounded; eviction prefers the oldest sampled trace and
-// touches tail traces only when nothing else is left. Every trace that is
-// sampled out or evicted counts in TracesDroppedTotal (distinct from
-// TraceSpansDroppedTotal, which counts spans inside one oversized trace).
+// (duration >= slow threshold) are "tail" traces; every other trace is kept
+// as "sampled" (the name /v1/trace clients already read). Capacity is
+// bounded; eviction takes the oldest sampled trace and touches tail traces
+// only when nothing else is left. Every evicted trace counts in
+// TracesDroppedTotal (distinct from TraceSpansDroppedTotal, which counts
+// spans inside one oversized trace).
 
 type traceStore struct {
 	mu            sync.Mutex
 	capacity      int
-	sampleEvery   int
 	slowThreshold time.Duration
 	traces        []*TraceData          // insertion order, oldest first
 	index         map[string]*TraceData // ID -> trace, for /v1/trace/{id}
-	last          *TraceData            // most recently completed, even if not retained
-	normSeen      uint64                // sampling counter for normal traces
+	last          *TraceData            // most recently completed, even if evicted
 	seq           atomic.Uint64         // fallback IDs for traces without one
 }
 
@@ -304,7 +303,6 @@ var store = newTraceStore()
 func newTraceStore() *traceStore {
 	return &traceStore{
 		capacity:      defaultTraceCapacity,
-		sampleEvery:   1,
 		slowThreshold: defaultSlowThreshold,
 		index:         map[string]*TraceData{},
 	}
@@ -328,11 +326,6 @@ func (st *traceStore) record(td *TraceData) {
 	if st.tail(td) {
 		td.Retained = "tail"
 	} else {
-		st.normSeen++
-		if st.sampleEvery > 1 && st.normSeen%uint64(st.sampleEvery) != 0 {
-			TracesDroppedTotal.Inc()
-			return
-		}
 		td.Retained = "sampled"
 	}
 	st.traces = append(st.traces, td)
@@ -373,22 +366,9 @@ func SetSlowTraceThreshold(d time.Duration) time.Duration {
 	return prev
 }
 
-// SetTraceSampling keeps 1 in n normal (fast, successful) traces; n <= 1
-// keeps all of them. Tail traces are never sampled out. Returns the previous
-// setting.
-func SetTraceSampling(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	store.mu.Lock()
-	defer store.mu.Unlock()
-	prev := store.sampleEvery
-	store.sampleEvery = n
-	return prev
-}
-
-// SetTraceCapacity bounds the number of retained traces (minimum 1).
-func SetTraceCapacity(n int) int {
+// setTraceCapacity bounds the number of retained traces (minimum 1) and
+// returns the previous bound. Production keeps defaultTraceCapacity.
+func setTraceCapacity(n int) int {
 	if n < 1 {
 		n = 1
 	}
@@ -403,7 +383,7 @@ func SetTraceCapacity(n int) int {
 }
 
 // LastTrace returns the most recently completed trace, or nil. The result is
-// independent of retention: a sampled-out trace is still visible here until
+// independent of retention: an evicted trace is still visible here until
 // the next one completes (the CLI's -trace dump depends on that).
 func LastTrace() *TraceData {
 	store.mu.Lock()
@@ -443,5 +423,4 @@ func ResetTraces() {
 	store.traces = nil
 	store.index = map[string]*TraceData{}
 	store.last = nil
-	store.normSeen = 0
 }

@@ -7,15 +7,17 @@ import (
 	"time"
 )
 
-// withStoreDefaults pins the store knobs for a test and restores them.
-func withStoreDefaults(t *testing.T, capacity, sample int, slow time.Duration) {
+// withStoreDefaults pins the store knobs for a test and restores them. A
+// capacity of 0 keeps the production capacity, defaultTraceCapacity.
+func withStoreDefaults(t *testing.T, capacity int, slow time.Duration) {
 	t.Helper()
-	prevCap := SetTraceCapacity(capacity)
-	prevSample := SetTraceSampling(sample)
+	if capacity == 0 {
+		capacity = defaultTraceCapacity
+	}
+	prevCap := setTraceCapacity(capacity)
 	prevSlow := SetSlowTraceThreshold(slow)
 	t.Cleanup(func() {
-		SetTraceCapacity(prevCap)
-		SetTraceSampling(prevSample)
+		setTraceCapacity(prevCap)
 		SetSlowTraceThreshold(prevSlow)
 		ResetTraces()
 	})
@@ -24,7 +26,7 @@ func withStoreDefaults(t *testing.T, capacity, sample int, slow time.Duration) {
 
 func TestTraceByID(t *testing.T) {
 	withCollection(t, func() {
-		withStoreDefaults(t, 64, 1, time.Hour)
+		withStoreDefaults(t, 64, time.Hour)
 		root := StartTrace("grade/a1")
 		root.SetTraceID("req-42")
 		root.Child("build_epdg").End()
@@ -45,7 +47,7 @@ func TestTraceByID(t *testing.T) {
 
 func TestTailRetentionByOutcome(t *testing.T) {
 	withCollection(t, func() {
-		withStoreDefaults(t, 64, 1000, time.Hour) // sample almost nothing
+		withStoreDefaults(t, 64, time.Hour)
 		before := TracesDroppedTotal.Value()
 
 		norm := StartTrace("grade/fast")
@@ -59,11 +61,13 @@ func TestTailRetentionByOutcome(t *testing.T) {
 		if td := TraceByID("error-1"); td == nil || td.Retained != "tail" {
 			t.Errorf("error trace not tail-retained: %+v", td)
 		}
-		if TraceByID("normal-1") != nil {
-			t.Error("normal trace survived 1-in-1000 sampling")
+		// A fast, successful trace is kept too, under the wire value
+		// "sampled" that /v1/trace clients read.
+		if td := TraceByID("normal-1"); td == nil || td.Retained != "sampled" {
+			t.Errorf("normal trace not retained as sampled: %+v", td)
 		}
-		if got := TracesDroppedTotal.Value() - before; got != 1 {
-			t.Errorf("traces dropped = %d, want 1 (the sampled-out normal trace)", got)
+		if got := TracesDroppedTotal.Value() - before; got != 0 {
+			t.Errorf("traces dropped = %d, want 0 (nothing evicted)", got)
 		}
 		// LastTrace still sees the most recent completion regardless of retention.
 		if lt := LastTrace(); lt == nil || lt.ID != "error-1" {
@@ -74,7 +78,7 @@ func TestTailRetentionByOutcome(t *testing.T) {
 
 func TestTailRetentionByDuration(t *testing.T) {
 	withCollection(t, func() {
-		withStoreDefaults(t, 64, 1000, 0) // every trace counts as slow
+		withStoreDefaults(t, 64, 0) // every trace counts as slow
 		root := StartTrace("grade/slow")
 		root.SetTraceID("slow-1")
 		root.End()
@@ -84,42 +88,48 @@ func TestTailRetentionByDuration(t *testing.T) {
 	})
 }
 
+// TestEvictionPrefersSampled pins the production bound and eviction order:
+// the store holds at most 256 traces, and overflow evicts the oldest sampled
+// (non-tail) trace first.
 func TestEvictionPrefersSampled(t *testing.T) {
 	withCollection(t, func() {
-		withStoreDefaults(t, 4, 1, time.Hour)
-		// Two tail traces, then enough sampled ones to overflow.
+		withStoreDefaults(t, 0, time.Hour)
+		// Two tail traces, then enough sampled ones to overflow by three.
 		for i := 0; i < 2; i++ {
 			sp := StartTrace("grade/err")
 			sp.SetTraceID(fmt.Sprintf("tail-%d", i))
 			sp.SetOutcome("error")
 			sp.End()
 		}
-		for i := 0; i < 5; i++ {
+		for i := 0; i < 257; i++ {
 			sp := StartTrace("grade/ok")
 			sp.SetTraceID(fmt.Sprintf("norm-%d", i))
 			sp.End()
 		}
-		if got := StoredTraces(); got != 4 {
-			t.Fatalf("store holds %d traces, want capacity 4", got)
+		if got := StoredTraces(); got != 256 {
+			t.Fatalf("store holds %d traces, want capacity 256", got)
 		}
-		// Both tail traces must survive; the oldest sampled ones were evicted.
+		// Both tail traces must survive; the three oldest sampled ones were
+		// evicted.
 		for i := 0; i < 2; i++ {
 			if TraceByID(fmt.Sprintf("tail-%d", i)) == nil {
 				t.Errorf("tail-%d was evicted while sampled traces remained", i)
 			}
 		}
-		if TraceByID("norm-0") != nil {
-			t.Error("oldest sampled trace survived eviction")
+		for i := 0; i < 3; i++ {
+			if TraceByID(fmt.Sprintf("norm-%d", i)) != nil {
+				t.Errorf("norm-%d, among the oldest sampled traces, survived eviction", i)
+			}
 		}
-		if TraceByID("norm-4") == nil {
-			t.Error("newest sampled trace missing")
+		if TraceByID("norm-3") == nil || TraceByID("norm-256") == nil {
+			t.Error("a sampled trace newer than the evicted ones is missing")
 		}
 	})
 }
 
 func TestTracesOrderAndFallbackIDs(t *testing.T) {
 	withCollection(t, func() {
-		withStoreDefaults(t, 8, 1, time.Hour)
+		withStoreDefaults(t, 8, time.Hour)
 		StartTrace("a").End()
 		StartTrace("b").End()
 		ts := Traces()
@@ -149,7 +159,7 @@ func TestTracesOrderAndFallbackIDs(t *testing.T) {
 func TestTraceStoreMixedRetentionPressure(t *testing.T) {
 	withCollection(t, func() {
 		const capacity = 32
-		withStoreDefaults(t, capacity, 2, time.Hour)
+		withStoreDefaults(t, capacity, time.Hour)
 		ring := NewRingExporter(4096)
 		prevExp := SetSpanExporter(ring)
 		defer SetSpanExporter(prevExp)
@@ -214,7 +224,7 @@ func TestTraceStoreMixedRetentionPressure(t *testing.T) {
 // capacity changes must be safe.
 func TestTraceStoreConcurrency(t *testing.T) {
 	withCollection(t, func() {
-		withStoreDefaults(t, 16, 2, time.Hour)
+		withStoreDefaults(t, 16, time.Hour)
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
 		for p := 0; p < 4; p++ {
@@ -258,7 +268,7 @@ func TestTraceStoreConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				SetTraceCapacity(8 + i%16)
+				setTraceCapacity(8 + i%16)
 			}
 		}()
 		// Wait for producers + the capacity changer (readers poll until stop).

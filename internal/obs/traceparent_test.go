@@ -112,7 +112,7 @@ func TestOutboundTraceparent(t *testing.T) {
 
 func TestSpanAdoptsRemoteParent(t *testing.T) {
 	withCollection(t, func() {
-		withStoreDefaults(t, 16, 1, 0) // keep everything
+		withStoreDefaults(t, 16, 0) // every trace is a tail trace
 		tc := TraceContext{TraceID: tpTrace, SpanID: tpSpan, Sampled: true}
 		root := StartTrace("grade/remote")
 		root.SetRemoteParent(tc.Traceparent())

@@ -20,6 +20,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,18 @@ import (
 	"semfeed/internal/core"
 	"semfeed/internal/obs"
 	"semfeed/internal/store"
+)
+
+// DefaultCacheSize is the result-cache capacity a zero Config.CacheSize
+// stands for.
+const DefaultCacheSize = 4096
+
+// Fixed service limits, each pinned by a test at this value.
+const (
+	// retryAfter is the hint returned with 429 responses.
+	retryAfter = time.Second
+	// maxBodyBytes caps request bodies.
+	maxBodyBytes = 4 << 20
 )
 
 // Config tunes the service. The zero value (plus a Registry) applies the
@@ -38,30 +51,23 @@ type Config struct {
 	GradeOptions core.Options
 	// MaxConcurrent bounds simultaneously executing grading requests
 	// (default GOMAXPROCS). A batch request holds one slot and runs its own
-	// worker pool inside it.
+	// worker pool inside it, of at most GOMAXPROCS workers.
 	MaxConcurrent int
 	// QueueDepth bounds requests waiting for a slot (default 64); beyond
 	// it, requests are shed with 429.
 	QueueDepth int
 	// RequestTimeout is the per-request grading deadline (default 10s).
 	RequestTimeout time.Duration
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
-	// CacheSize is the result-cache capacity in entries (default 4096;
-	// negative disables caching). Ignored when Store is set.
+	// CacheSize is the capacity in entries of the in-memory result cache
+	// built when Store is nil (default DefaultCacheSize; negative disables
+	// caching). See MemoryStore.
 	CacheSize int
-	// Store overrides the result store. Nil builds an in-memory LRU of
-	// CacheSize entries (the single-process default); cluster workers plug
-	// in a disk-backed or peer-filling store here. Whatever the backend,
-	// keys are (assignment, KB version, source hash), so hot-reload
-	// invalidation holds across every tier.
+	// Store overrides the result store. Nil builds MemoryStore(CacheSize)
+	// (the single-process default); cluster workers plug in a disk-backed
+	// or peer-filling store here. Whatever the backend, keys are
+	// (assignment, KB version, source hash), so hot-reload invalidation
+	// holds across every tier.
 	Store store.Store
-	// BatchWorkers is the per-batch grading pool size (default GOMAXPROCS).
-	BatchWorkers int
-	// MaxBodyBytes caps request bodies (default 4 MiB).
-	MaxBodyBytes int64
-	// Logf receives service diagnostics; nil discards them.
-	Logf func(format string, args ...any)
 	// Logger receives structured event logs (one summary line per grade,
 	// batch, shed and drain event). Nil falls back to the process-wide
 	// obs.Logger(), which discards until obs.SetLogger is called.
@@ -82,21 +88,19 @@ func (c *Config) defaults() {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
+}
+
+// MemoryStore is the one definition of the in-memory result cache: an LRU
+// of size entries, DefaultCacheSize when size is 0, and no cache at all (nil)
+// when size is negative. A nil Config.Store stands for MemoryStore(CacheSize).
+func MemoryStore(size int) store.Store {
+	switch {
+	case size < 0:
+		return nil
+	case size == 0:
+		size = DefaultCacheSize
 	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 4096
-	}
-	if c.BatchWorkers <= 0 {
-		c.BatchWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 4 << 20
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
+	return store.NewMemory(size)
 }
 
 // Server is the grading service. Create with New, mount Handler (or Start a
@@ -128,12 +132,10 @@ func New(cfg Config) *Server {
 		cfg:    cfg,
 		grader: core.NewGrader(cfg.GradeOptions),
 		adm:    newAdmission(cfg.MaxConcurrent, cfg.QueueDepth),
+		store:  cfg.Store,
 	}
-	switch {
-	case cfg.Store != nil:
-		s.store = cfg.Store
-	case cfg.CacheSize > 0:
-		s.store = store.NewMemory(cfg.CacheSize)
+	if s.store == nil {
+		s.store = MemoryStore(cfg.CacheSize)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/grade", s.handleGrade)
@@ -283,8 +285,7 @@ type BatchRequest struct {
 		ID     string `json:"id,omitempty"`
 		Source string `json:"source"`
 	} `json:"submissions"`
-	// Workers overrides the per-batch pool size (capped by the server's
-	// configured BatchWorkers).
+	// Workers overrides the per-batch pool size (capped at GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -341,7 +342,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	td := obs.TraceByID(id)
 	if td == nil {
-		s.fail(w, http.StatusNotFound, fmt.Sprintf("no retained trace %q (sampled out, evicted, or tracing disabled)", id))
+		s.fail(w, http.StatusNotFound, fmt.Sprintf("no retained trace %q (evicted, or tracing disabled)", id))
 		return
 	}
 	if req.URL.Query().Get("format") == "text" {
@@ -492,7 +493,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 
 	// Resolve resubmissions from the cache first; only the residue is
 	// graded. The whole batch holds one admission slot — its parallelism
-	// lives inside the slot, bounded by BatchWorkers.
+	// lives inside the slot, bounded by GOMAXPROCS.
 	keys := make([]store.Key, len(breq.Submissions))
 	var subs []core.Submission
 	var subIdx []int
@@ -519,8 +520,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		defer s.adm.release()
 
 		workers := breq.Workers
-		if workers <= 0 || workers > s.cfg.BatchWorkers {
-			workers = s.cfg.BatchWorkers
+		if maxWorkers := runtime.GOMAXPROCS(0); workers <= 0 || workers > maxWorkers {
+			workers = maxWorkers
 		}
 		ctx, cancel := context.WithTimeout(req.Context(), s.cfg.RequestTimeout)
 		defer cancel()
@@ -571,7 +572,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, req *http.Request, into an
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return nil, false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		obs.ServerErrorsTotal.Inc()
@@ -612,8 +613,8 @@ func (s *Server) admit(w http.ResponseWriter, req *http.Request, assignment stri
 			"request_id", rid,
 			"assignment", assignment,
 			"queued", s.adm.waiting(),
-			"retry_after_s", int(s.cfg.RetryAfter.Seconds()+0.5))
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.RetryAfter.Seconds()+0.5)))
+			"retry_after_s", int(retryAfter.Seconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter.Seconds())))
 		s.fail(w, http.StatusTooManyRequests, "admission queue full, retry later")
 		return false
 	default:

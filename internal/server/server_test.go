@@ -138,25 +138,32 @@ func TestGradeErrors(t *testing.T) {
 // subscript chains the parser folds into equally deep ASTs, used to overflow
 // the stack of the parser or of a recursive walker after it and kill the
 // process. Each must come back as an ordinary 422, and the server must go on
-// grading.
+// grading. A body past the 4 MiB limit is refused before decoding with a 400,
+// and grading goes on after it too.
 func TestDeepNestingRejected(t *testing.T) {
 	srv := New(Config{Registry: testRegistry(t)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	method := func(expr string) string { return "void f() { int x = " + expr + "; }" }
-	for _, c := range []struct{ name, src string }{
-		{"parens", method(strings.Repeat("(", 1_500_000) + "1" + strings.Repeat(")", 1_500_000))},
-		{"sum-chain", method("1" + strings.Repeat("+1", 1_500_000))},
-		{"difference-chain", method("1" + strings.Repeat("-1", 1_500_000))},
-		{"subscript-chain", method("a" + strings.Repeat("[0]", 1_000_000))},
+	const nesting = "nesting deeper than"
+	for _, c := range []struct {
+		name, src string
+		status    int
+		msg       string
+	}{
+		{"parens", method(strings.Repeat("(", 1_500_000) + "1" + strings.Repeat(")", 1_500_000)), http.StatusUnprocessableEntity, nesting},
+		{"sum-chain", method("1" + strings.Repeat("+1", 1_500_000)), http.StatusUnprocessableEntity, nesting},
+		{"difference-chain", method("1" + strings.Repeat("-1", 1_500_000)), http.StatusUnprocessableEntity, nesting},
+		{"subscript-chain", method("a" + strings.Repeat("[0]", 1_000_000)), http.StatusUnprocessableEntity, nesting},
+		{"over-body-limit", method(strings.Repeat(" ", 4<<20)), http.StatusBadRequest, "request body too large"},
 	} {
 		if len(c.src) < 3_000_000 {
 			t.Fatalf("%s: source is %d bytes", c.name, len(c.src))
 		}
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/grade", GradeRequest{Assignment: "assignment1", Source: c.src})
-		if resp.StatusCode != http.StatusUnprocessableEntity || !bytes.Contains(body, []byte("nesting deeper than")) {
-			t.Fatalf("%s: status %d: %.200s", c.name, resp.StatusCode, body)
+		if resp.StatusCode != c.status || !bytes.Contains(body, []byte(c.msg)) {
+			t.Fatalf("%s: status %d, want %d: %.200s", c.name, resp.StatusCode, c.status, body)
 		}
 		resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/grade", GradeRequest{
 			Assignment: "assignment1", Source: assignments.Get("assignment1").Reference(),
@@ -217,8 +224,8 @@ func TestBatchEndpoint(t *testing.T) {
 
 // TestQueueOverflowSheds429 pins the admission-control contract: with one
 // worker slot and a one-deep queue, a third concurrent request is shed
-// immediately with 429 and a Retry-After hint, while the held and queued
-// requests complete normally once the slot frees.
+// immediately with 429 and a one-second Retry-After hint, while the held and
+// queued requests complete normally once the slot frees.
 func TestQueueOverflowSheds429(t *testing.T) {
 	srv := New(Config{
 		Registry:      testRegistry(t),
@@ -268,8 +275,8 @@ func TestQueueOverflowSheds429(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("overflow request: status %d, want 429", code)
 	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("429 response lacks Retry-After")
+	if ra := hdr.Get("Retry-After"); ra != "1" {
+		t.Fatalf("429 Retry-After = %q, want \"1\"", ra)
 	}
 
 	close(hold)
